@@ -278,10 +278,11 @@ def cmd_eval(args) -> int:
     fold_summaries = []
     gamma_reports = {}
     recovery = {}
-    scatter_model = None
+    scatter_model = scatter_cache = None
 
     for i in range(plan.n_folds):
         model, alpha, meta = load_checkpoint(checkpoints[i])
+        cache = {}       # image key -> encoding under this fold's checkpoint
         fold = plan.fold_spec(i)
         val_idx = dataset.indices_for_patients(fold.val_patients)
         if oracle is not None:
@@ -290,11 +291,12 @@ def cmd_eval(args) -> int:
         elif kind == "naive":
             val_scores = test_scores = None
         else:
-            val_scores = evaluate.pair_scores(model, dataset, val_idx)
-            test_scores = evaluate.pair_scores(model, dataset, test_idx)
+            val_scores = evaluate.pair_scores(model, dataset, val_idx, cache=cache)
+            test_scores = evaluate.pair_scores(model, dataset, test_idx, cache=cache)
 
         if kind == "naive" and oracle is None:
-            probs = evaluate.pair_scores(model, dataset, test_idx)["probs"]
+            probs = evaluate.pair_scores(model, dataset, test_idx,
+                                         cache=cache)["probs"]
             pred = probs.argmax(axis=1)
             th = None
         else:
@@ -326,10 +328,11 @@ def cmd_eval(args) -> int:
                 np.random.SeedSequence(cfg["seed"]).spawn(plan.n_folds)[i])
             recovery[f"fold{i}"] = evaluate.severity_recovery(
                 model, dataset, plan.test_patients, rng=rng,
-                n_permutations=cfg["permutations"])
-        if scatter_model is None:
+                n_permutations=cfg["permutations"], cache=cache)
+        if i == 0:
             scatter_model = oracle if oracle is not None else \
                 (model if kind == "siamese" else None)
+            scatter_cache = cache
 
     for name, agg in (("mean", np.mean), ("std", np.std)):
         metric_rows.append({"fold": name, **{
@@ -338,19 +341,10 @@ def cmd_eval(args) -> int:
     _write_csv(out / "metrics.csv", ("fold", *metrics.METRIC_KEYS), metric_rows)
 
     if scatter_model is not None:
-        if isinstance(scatter_model, evaluate.SeverityOracle):
-            scores = scatter_model.scores_for(np.arange(len(dataset)))
-            rows = [{"pair_id": dataset.pairs[i].pair_id,
-                     "delta": float(scores["delta"][i]),
-                     "prob_other": float(scores["prob_other"][i]),
-                     "label": dataset.pairs[i].label,
-                     "clean_label": dataset.pairs[i].clean_label}
-                    for i in range(len(dataset))]
-        else:
-            rows = evaluate.export_delta_scatter(scatter_model, dataset)
         _write_csv(out / "delta_scatter.csv",
                    ("pair_id", "delta", "prob_other", "label", "clean_label"),
-                   rows)
+                   evaluate.export_delta_scatter(scatter_model, dataset,
+                                                 cache=scatter_cache))
     if gamma_reports:
         _write_json(out / "gamma_report.json", gamma_reports)
     _write_json(out / "summary.json", {
@@ -409,13 +403,12 @@ def cmd_fewshot(args) -> int:
         if model.config.to_dict() != enc.to_dict():
             raise ConfigError(f"checkpoint {path} has a different input size")
         rng = np.random.default_rng(root.spawn(len(entries))[idx])
+        embedded = evaluate.embed_batched(model, imgs)
         if model.kind == "naive":
-            feats = model.features(imgs)
-            curve = evaluate.fewshot_curve_logistic(feats, activity.active,
+            curve = evaluate.fewshot_curve_logistic(embedded, activity.active,
                                                     ks, cfg["reps"], rng)
         else:
-            z_state, _ = model.encode(imgs)
-            curve = evaluate.fewshot_curve(z_state, activity.active,
+            curve = evaluate.fewshot_curve(embedded[:, 0], activity.active,
                                            ks, cfg["reps"], rng)
         for row in curve:
             rows.append({"model": name, "k": row["k"], "mean": row["mean"],

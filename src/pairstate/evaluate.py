@@ -21,23 +21,55 @@ from .pipeline import Dataset
 # batched scoring
 # ---------------------------------------------------------------------------
 
-def pair_scores(model, dataset: Dataset, indices, batch_size: int = 128,
+ENCODE_BATCH = 256          # images per encoder forward pass
+PERMUTATION_BLOCK = 256     # permutations scored per matrix product
+
+
+def embed_batched(model, images):
+    """model.embed over an (N, 1, H, W) image stack, ENCODE_BATCH images per
+    forward pass, so peak memory does not grow with N."""
+    return np.concatenate([model.embed(images[start:start + ENCODE_BATCH])
+                           for start in range(0, len(images), ENCODE_BATCH)])
+
+
+def encode_images(model, dataset: Dataset, keys, cache: dict | None = None) -> dict:
+    """Per-image rows (model.embed) for the given image keys.
+
+    `cache` maps image key -> row for one checkpoint; only keys it lacks are
+    encoded, in sorted order and ENCODE_BATCH images per forward pass, so
+    batch membership depends on the inputs alone. Returns the cache, a new
+    dict when none is given.
+    """
+    cache = {} if cache is None else cache
+    todo = sorted(set(keys).difference(cache))
+    for start in range(0, len(todo), ENCODE_BATCH):
+        chunk = todo[start:start + ENCODE_BATCH]
+        imgs = np.stack([dataset.load_image(k) for k in chunk])[:, None] / 255.0
+        cache.update(zip(chunk, model.embed(imgs)))
+    return cache
+
+
+def _gather(cache: dict, keys):
+    return np.array([cache[k] for k in keys])
+
+
+def pair_scores(model, dataset: Dataset, indices, cache: dict | None = None,
                 flip_order: bool = False) -> dict:
     """Model outputs over dataset pairs, inference slope fixed at 1.
 
-    Returns arrays keyed like SiameseModel.predict_pairs (or {"probs"} for
-    the naive 4-way model), in the order of `indices`.
+    Each image is encoded once into `cache` (see encode_images); pair
+    scores are the model's pair_head over the gathered per-image rows, so
+    swapping the images of a pair negates its delta exactly. Returns arrays
+    in the order of `indices`: for a SiameseModel z_state_1/2, z_other_1/2,
+    delta, prob_progression and prob_other; for the naive 4-way model
+    {"probs"} of shape (N, 4).
     """
-    out: dict = {}
-    for start in range(0, len(indices), batch_size):
-        chunk = indices[start:start + batch_size]
-        x1, x2 = dataset.pair_batch(chunk)
-        if flip_order:
-            x1, x2 = x2, x1
-        scores = model.predict_pairs(x1, x2)
-        for key, val in scores.items():
-            out.setdefault(key, []).append(val)
-    return {key: np.concatenate(vals) for key, vals in out.items()}
+    first = [dataset.pairs[i].img1 for i in indices]
+    second = [dataset.pairs[i].img2 for i in indices]
+    if flip_order:
+        first, second = second, first
+    cache = encode_images(model, dataset, first + second, cache)
+    return model.pair_head(_gather(cache, first), _gather(cache, second))
 
 
 class SeverityOracle:
@@ -73,12 +105,20 @@ class SeverityOracle:
 
 
 def export_delta_scatter(model, dataset: Dataset, indices=None,
-                         flip_order: bool = False) -> list:
+                         flip_order: bool = False, cache: dict | None = None) -> list:
     """Per-pair rows (pair_id, delta, prob_other, label, clean_label) for
-    external plotting of the continuous progression scale."""
+    external plotting of the continuous progression scale.
+
+    `model` is a SiameseModel, scored through pair_scores with `cache` and
+    `flip_order`, or a SeverityOracle.
+    """
     if indices is None:
         indices = np.arange(len(dataset))
-    scores = pair_scores(model, dataset, indices, flip_order=flip_order)
+    if isinstance(model, SeverityOracle):
+        scores = model.scores_for(indices)
+    else:
+        scores = pair_scores(model, dataset, indices, cache=cache,
+                             flip_order=flip_order)
     rows = []
     for row, i in enumerate(indices):
         p = dataset.pairs[i]
@@ -178,31 +218,53 @@ def gamma_adjacency_report(alpha_table: AlphaTable, dataset: Dataset,
 # ---------------------------------------------------------------------------
 
 def severity_recovery(model, dataset: Dataset, patient_ids, rng=None,
-                      n_permutations: int = 2000) -> dict:
-    """Spearman correlation between per-image state logits and the latent
-    severities for the given patients, with a permutation p-value."""
+                      n_permutations: int = 2000, cache: dict | None = None) -> dict:
+    """Spearman correlation between per-image state logits of a SiameseModel
+    and the latent severities for the given patients, with a permutation
+    p-value when `rng` is given. Images are encoded into `cache` as in
+    pair_scores."""
     if dataset.latents is None:
         raise ConfigError("severity recovery needs the latents.jsonl sidecar")
     keys = sorted({k for pid in patient_ids
                    for i in dataset.patient_index.get(pid, ())
                    for k in (dataset.pairs[i].img1, dataset.pairs[i].img2)})
-    h, w = dataset.image_size
-    imgs = np.stack([dataset.load_image(k) for k in keys])[:, None] / 255.0
-    z_state, _ = model.encode(imgs)
+    cache = encode_images(model, dataset, keys, cache)
+    z_state = _gather(cache, keys)[:, 0]
     severity = np.array([dataset.latents[k] for k in keys])
 
     rho = float(scipy.stats.spearmanr(z_state, severity).statistic)
     result = {"n_images": len(keys), "spearman": rho, "spearman_abs": abs(rho)}
     if rng is not None:
-        count = 0
-        shuffled = severity.copy()
-        for _ in range(n_permutations):
-            rng.shuffle(shuffled)
-            r = abs(float(scipy.stats.spearmanr(z_state, shuffled).statistic))
-            if r >= abs(rho):
-                count += 1
-        result["permutation_p"] = (count + 1) / (n_permutations + 1)
+        result["permutation_p"] = _permutation_p(z_state, severity, rng,
+                                                 n_permutations)
     return result
+
+
+def _permutation_p(x, y, rng: np.random.Generator, n_permutations: int) -> float:
+    """Two-sided permutation p-value of the Spearman correlation of x and y.
+
+    Permutation t is y after t cumulative rng.shuffle calls. Spearman's rho
+    is Pearson's r of the ranks, whose norms do not change under
+    permutation, so every permutation is scored by the dot product of the
+    centred ranks. Ranks are multiples of 1/2: doubled, every product and
+    partial sum is an integer that float64 holds exactly while
+    n * (n - 1)**2 < 2**53 (n up to ~2e5), so a permutation as extreme as
+    the observed order, the identity included, counts exactly.
+    """
+    n = len(x)
+    a = 2.0 * scipy.stats.rankdata(x) - (n + 1)
+    b = 2.0 * scipy.stats.rankdata(y) - (n + 1)
+    observed = abs(a @ b)
+    order = np.arange(n)
+    count = 0
+    for start in range(0, n_permutations, PERMUTATION_BLOCK):
+        block = np.empty((min(PERMUTATION_BLOCK, n_permutations - start), n),
+                         dtype=order.dtype)
+        for row in block:
+            rng.shuffle(order)
+            row[:] = order
+        count += int(np.count_nonzero(np.abs(b[block] @ a) >= observed))
+    return (count + 1) / (n_permutations + 1)
 
 
 # ---------------------------------------------------------------------------

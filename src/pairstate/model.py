@@ -159,8 +159,7 @@ class SiameseModel:
     def encode(self, images):
         """Per-image logits (z_state, z_other); scalars for a single image."""
         batch, single = _as_batch(images)
-        feat, _ = self.encoder.forward(batch)
-        z_state, z_other = self._heads(feat)
+        z_state, z_other = self._heads(self.features(batch))
         if single:
             return float(z_state[0]), float(z_other[0])
         return z_state, z_other
@@ -181,19 +180,19 @@ class SiameseModel:
             prob_other=float(other_prob(z1_other, z2_other)),
         )
 
-    def predict_pairs(self, img1, img2, gamma=None):
-        """Batched pair predictions.
+    def embed(self, images):
+        """Per-image rows [z_state, z_other], (N, 2), that pair_head reads."""
+        return np.column_stack(self._heads(self.features(images)))
 
-        img1, img2: (N, 1, H, W). gamma: scalar or (N,) slope, default 1.
-        Returns dict of arrays: z_state_1/2, z_other_1/2, delta,
-        prob_progression, prob_other.
+    def pair_head(self, rows1, rows2, gamma=None):
+        """Pair predictions from the embed() rows of the first and second
+        images.
+
+        gamma: scalar or (N,) slope, default 1. Returns dict of arrays:
+        z_state_1/2, z_other_1/2, delta, prob_progression, prob_other.
         """
-        n = img1.shape[0]
-        stacked = np.concatenate([img1, img2], axis=0)
-        feat, _ = self.encoder.forward(np.asarray(stacked, dtype=np.float64))
-        z_state, z_other = self._heads(feat)
-        z1, z2 = z_state[:n], z_state[n:]
-        o1, o2 = z_other[:n], z_other[n:]
+        z1, o1 = rows1[:, 0], rows1[:, 1]
+        z2, o2 = rows2[:, 0], rows2[:, 1]
         delta = pair_delta(z1, z2)
         g = 1.0 if gamma is None else gamma
         return {
@@ -203,6 +202,13 @@ class SiameseModel:
             "prob_progression": progression_prob(delta, g),
             "prob_other": other_prob(o1, o2),
         }
+
+    def predict_pairs(self, img1, img2, gamma=None):
+        """Batched pair predictions: pair_head over one encoding of the
+        stacked images. img1, img2: (N, 1, H, W)."""
+        n = img1.shape[0]
+        rows = self.embed(np.concatenate([img1, img2], axis=0))
+        return self.pair_head(rows[:n], rows[n:], gamma)
 
     # -- training-time loss and gradients ------------------------------------
 
@@ -297,16 +303,25 @@ class NaiveModel:
         feat, _ = self.encoder.forward(batch)
         return feat[0] if single else feat
 
-    def predict_pairs(self, img1, img2):
-        """Class probabilities (N, 4) in labels.LABELS order."""
-        n = img1.shape[0]
-        stacked = np.concatenate([img1, img2], axis=0).astype(np.float64)
-        feat, _ = self.encoder.forward(stacked)
-        both = np.concatenate([feat[:n], feat[n:]], axis=1)
+    def embed(self, images):
+        """Per-image rows that pair_head reads: the feature vectors, (N, F)."""
+        return self.features(images)
+
+    def pair_head(self, rows1, rows2):
+        """Class probabilities {"probs": (N, 4)} in labels.LABELS order from
+        the embed() rows of the first and second images."""
+        both = np.concatenate([rows1, rows2], axis=1)
         logits = both @ self.params["head_cls.w"].T + self.params["head_cls.b"]
         logits -= logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         return {"probs": e / e.sum(axis=1, keepdims=True)}
+
+    def predict_pairs(self, img1, img2):
+        """Class probabilities (N, 4): pair_head over one encoding of the
+        stacked images."""
+        n = img1.shape[0]
+        rows = self.embed(np.concatenate([img1, img2], axis=0))
+        return self.pair_head(rows[:n], rows[n:])
 
     def loss_and_grads(self, img1, img2, class_index):
         """Mean categorical cross-entropy and parameter gradients."""

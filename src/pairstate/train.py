@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import labels, objective
+from . import evaluate, labels, objective
 from .errors import ConfigError, TrainingDiverged
 from .model import AlphaTable, NaiveModel, SiameseModel
 from .nn import EncoderConfig
@@ -85,33 +85,22 @@ def _chunks(seq, size):
         yield seq[start:start + size]
 
 
-def _siamese_val_loss(model: SiameseModel, dataset: Dataset, val_idx,
-                      batch_size: int):
+def _siamese_val_loss(model: SiameseModel, dataset: Dataset, val_idx):
     """Validation objective with slope fixed at 1 and no slope penalty."""
-    total = {"loss": 0.0, "bce_state": 0.0, "bce_other": 0.0}
-    n = len(val_idx)
-    for chunk in _chunks(val_idx, batch_size * 4):
-        x1, x2 = dataset.pair_batch(chunk)
-        pred = model.predict_pairs(x1, x2)
-        y_state, mask, y_other = objective.encode_targets(dataset.labels_of(chunk))
-        parts = objective.loss_parts(pred["prob_progression"], y_state, mask,
-                                     pred["prob_other"], y_other,
-                                     np.zeros(len(chunk)), 0.0)
-        for key in total:
-            total[key] += parts[key] * len(chunk)
-    return {key: val / n for key, val in total.items()}
+    pred = evaluate.pair_scores(model, dataset, val_idx)
+    y_state, mask, y_other = objective.encode_targets(dataset.labels_of(val_idx))
+    parts = objective.loss_parts(pred["prob_progression"], y_state, mask,
+                                 pred["prob_other"], y_other,
+                                 np.zeros(len(val_idx)), 0.0)
+    return {key: parts[key] for key in ("loss", "bce_state", "bce_other")}
 
 
-def _naive_val_loss(model: NaiveModel, dataset: Dataset, val_idx, batch_size: int):
-    total = 0.0
-    for chunk in _chunks(val_idx, batch_size * 4):
-        x1, x2 = dataset.pair_batch(chunk)
-        probs = model.predict_pairs(x1, x2)["probs"]
-        idx = [labels.LABEL_TO_INDEX[l] for l in dataset.labels_of(chunk)]
-        p = np.clip(probs[np.arange(len(chunk)), idx], 1e-12, None)
-        total += float(-np.log(p).sum())
-    return {"loss": total / len(val_idx), "bce_state": float("nan"),
-            "bce_other": float("nan")}
+def _naive_val_loss(model: NaiveModel, dataset: Dataset, val_idx):
+    probs = evaluate.pair_scores(model, dataset, val_idx)["probs"]
+    idx = [labels.LABEL_TO_INDEX[l] for l in dataset.labels_of(val_idx)]
+    p = np.clip(probs[np.arange(len(val_idx)), idx], 1e-12, None)
+    return {"loss": float(-np.log(p).sum()) / len(val_idx),
+            "bce_state": float("nan"), "bce_other": float("nan")}
 
 
 def train_fold(dataset: Dataset, fold: FoldSpec, config: TrainConfig,
@@ -193,9 +182,9 @@ def train_fold(dataset: Dataset, fold: FoldSpec, config: TrainConfig,
                 sums[key] += parts.get(key, 0.0) * len(batch_idx)
 
         if kind == "siamese":
-            val = _siamese_val_loss(model, dataset, val_idx, config.batch_size)
+            val = _siamese_val_loss(model, dataset, val_idx)
         else:
-            val = _naive_val_loss(model, dataset, val_idx, config.batch_size)
+            val = _naive_val_loss(model, dataset, val_idx)
         if not np.isfinite(val["loss"]):
             raise TrainingDiverged(epoch, steps, val["loss"])
 

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.stats
 
 
 def binary_mcc(cm):
@@ -64,3 +65,18 @@ def central_diff_error(closure, array, index, analytic, steps=(1e-5, 1e-7)):
         if best < 1e-6:
             break
     return best
+
+
+def scalar_permutation_p(z_state, severity, rng, n_permutations):
+    """Permutation p-value of the Spearman correlation, one scipy call per
+    cumulative rng.shuffle of the severities: the reference for the
+    vectorised test in evaluate.severity_recovery."""
+    rho = float(scipy.stats.spearmanr(z_state, severity).statistic)
+    count = 0
+    shuffled = np.array(severity, dtype=np.float64)
+    for _ in range(n_permutations):
+        rng.shuffle(shuffled)
+        r = abs(float(scipy.stats.spearmanr(z_state, shuffled).statistic))
+        if r >= abs(rho):
+            count += 1
+    return rho, (count + 1) / (n_permutations + 1)

@@ -1,8 +1,10 @@
-"""Evaluation analyses: scatter export, slope/adjacency report, severity
-recovery plumbing, and few-shot threshold calibration."""
+"""Evaluation analyses: the shared per-image scoring path, scatter export,
+slope/adjacency report, severity recovery, and few-shot threshold
+calibration."""
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +14,13 @@ from pairstate.evaluate import (balanced_accuracy, fewshot_curve,
                                 fewshot_curve_logistic, fewshot_threshold,
                                 fit_logistic, gamma_adjacency_report,
                                 optimal_threshold)
-from pairstate.model import AlphaTable, SiameseModel
-from pairstate.nn import EncoderConfig
-from pairstate.pipeline import load_dataset
+from pairstate.model import AlphaTable, NaiveModel, SiameseModel
+from pairstate.nn import ConvEncoder, EncoderConfig
+from pairstate.pipeline import Dataset, PairSample, load_dataset
+
+from helpers import scalar_permutation_p
+
+TINY = EncoderConfig(in_height=16, in_width=32, conv_widths=(2, 3), feature_dim=6)
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +36,50 @@ def dataset(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def model():
-    return SiameseModel.init(
-        EncoderConfig(in_height=16, in_width=32, conv_widths=(2, 3),
-                      feature_dim=6),
-        np.random.default_rng(5))
+    return SiameseModel.init(TINY, np.random.default_rng(5))
+
+
+def unique_images(dataset, indices):
+    return {k for i in indices for k in (dataset.pairs[i].img1, dataset.pairs[i].img2)}
+
+
+# ---------------------------------------------------------------------------
+# shared per-image scoring path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", [SiameseModel, NaiveModel])
+def test_pair_scores_match_per_pair_predictions(dataset, cls):
+    net = cls.init(TINY, np.random.default_rng(8))
+    idx = np.arange(len(dataset))
+    cache = {}
+    evaluate.pair_scores(net, dataset, idx[::3], cache=cache)
+    scores = evaluate.pair_scores(net, dataset, idx, cache=cache)
+    x1, x2 = dataset.pair_batch(idx)
+    for i in idx:
+        ref = net.predict_pairs(x1[i:i + 1], x2[i:i + 1])
+        assert set(scores) == set(ref)
+        for key, val in ref.items():
+            np.testing.assert_allclose(scores[key][i], val[0], rtol=0, atol=1e-12)
+
+
+def test_each_image_encoded_once_per_cache(dataset, model, monkeypatch):
+    encoded = []
+    forward = ConvEncoder.forward
+
+    def counting_forward(self, x):
+        encoded.append(len(x))
+        return forward(self, x)
+
+    monkeypatch.setattr(ConvEncoder, "forward", counting_forward)
+    cache = {}
+    patients = dataset.patients
+    evaluate.pair_scores(model, dataset,
+                         dataset.indices_for_patients(patients[:2]), cache=cache)
+    evaluate.severity_recovery(model, dataset, patients[1:4], cache=cache)
+    evaluate.export_delta_scatter(model, dataset, cache=cache)
+    n_unique = len(unique_images(dataset, range(len(dataset))))
+    assert sum(encoded) == len(cache) == n_unique
+    assert max(encoded) <= evaluate.ENCODE_BATCH
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +100,7 @@ def test_scatter_delta_negates_when_order_flipped(dataset, model):
     fwd = evaluate.export_delta_scatter(model, dataset)
     rev = evaluate.export_delta_scatter(model, dataset, flip_order=True)
     for a, b in zip(fwd, rev):
-        assert a["delta"] == pytest.approx(-b["delta"], abs=1e-9)
+        assert a["delta"] == -b["delta"]
         assert a["prob_other"] == pytest.approx(b["prob_other"], abs=1e-12)
 
 
@@ -106,6 +152,81 @@ def test_gamma_report_requires_adjacency():
                     patient_index={}, label_counts={})
     with pytest.raises(ConfigError, match="adjacency"):
         gamma_adjacency_report(AlphaTable.zeros(10), ds)
+
+
+# ---------------------------------------------------------------------------
+# severity recovery: vectorised permutation test against the scalar loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_severity_recovery_matches_scalar_loop(dataset, model, seed):
+    patients = dataset.patients[:4]
+    cache = {}
+    rec = evaluate.severity_recovery(model, dataset, patients,
+                                     rng=np.random.default_rng(seed),
+                                     n_permutations=300, cache=cache)
+    keys = sorted(unique_images(dataset, dataset.indices_for_patients(patients)))
+    z_state = np.array([cache[k][0] for k in keys])
+    severity = np.array([dataset.latents[k] for k in keys])
+    rho, p = scalar_permutation_p(z_state, severity,
+                                  np.random.default_rng(seed), 300)
+    assert rec["n_images"] == len(keys)
+    assert rec["spearman"] == rho
+    assert rec["permutation_p"] == p
+
+
+class PixelModel:
+    """Stands in for a SiameseModel: an image's state logit is its mean
+    pixel value."""
+
+    def embed(self, images):
+        z = images.mean(axis=(1, 2, 3))
+        return np.column_stack([z, np.zeros_like(z)])
+
+
+def chain_dataset(pixels, severities):
+    """One patient whose pairs chain images 0-1, 1-2, ...; image i is filled
+    with pixels[i] and has latent severity severities[i]."""
+    keys = [f"img{i:03d}.pgm" for i in range(len(pixels))]
+    pairs = [PairSample(i, keys[i], keys[i + 1], labels.STABLE, labels.STABLE,
+                        0, i, i + 1, 0, (False, False))
+             for i in range(len(keys) - 1)]
+    ds = Dataset(root=None, pairs=pairs, image_size=(4, 4),
+                 patient_index={0: list(range(len(pairs)))}, label_counts={},
+                 latents=dict(zip(keys, map(float, severities))))
+    for key, v in zip(keys, pixels):
+        ds._cache[key] = np.full((4, 4), v, dtype=np.uint8)
+    return ds
+
+
+@pytest.mark.parametrize("pixels, severities", [
+    # tied severities and tied state logits
+    ([30, 10, 50, 20, 20, 90, 70, 60, 10, 40, 80, 0],
+     [2, 1, 2, 1, 3, 3, 2, 0, 0, 1, 3, 2]),
+    # n = 3: identity and reversed orders recur and must count as r >= |rho|
+    ([10, 20, 30], [1.0, 2.0, 3.0]),
+    ([10, 30, 20], [1.0, 2.0, 3.0]),
+])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_permutation_p_exact_on_ties_and_tiny_n(pixels, severities, seed):
+    ds = chain_dataset(pixels, severities)
+    rec = evaluate.severity_recovery(PixelModel(), ds, [0],
+                                     rng=np.random.default_rng(seed),
+                                     n_permutations=700)
+    rho, p = scalar_permutation_p(np.array(pixels) / 255.0, severities,
+                                  np.random.default_rng(seed), 700)
+    assert rec["spearman"] == rho
+    assert rec["permutation_p"] == p
+
+
+def test_permutation_p_is_one_for_constant_state_logits():
+    ds = chain_dataset([50] * 6, [0, 1, 2, 3, 4, 5])
+    with pytest.warns(scipy.stats.ConstantInputWarning):
+        rec = evaluate.severity_recovery(PixelModel(), ds, [0],
+                                         rng=np.random.default_rng(0),
+                                         n_permutations=50)
+    assert np.isnan(rec["spearman"])
+    assert rec["permutation_p"] == 1.0
 
 
 # ---------------------------------------------------------------------------
