@@ -12,7 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -31,17 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(row[c]) for c in columns) + "\n")
 
 
 def _write_json(path, obj) -> None:
@@ -198,13 +187,9 @@ def cmd_train(args) -> int:
         lam=cfg["lam"], weight_decay=cfg["weight_decay"], seed=cfg["seed"],
         noise_estimation=cfg["noise_estimation"], alpha_lr=cfg["alpha_lr"],
         augment=cfg["augment"])
-    fold_seeds = np.random.SeedSequence(cfg["seed"]).generate_state(
-        plan.n_folds, dtype=np.uint64)
-    jobs = []
-    for i in range(plan.n_folds):
-        fold_cfg = dataclasses.replace(base, seed=int(fold_seeds[i]))
-        jobs.append((str(manifest), plan.to_dict(), i, fold_cfg.to_dict(),
-                     enc.to_dict(), kind, str(out / f"fold{i}")))
+    jobs = [(str(manifest), plan.to_dict(), i, fold_cfg.to_dict(),
+             enc.to_dict(), kind, str(out / f"fold{i}"))
+            for i, fold_cfg in enumerate(train_mod.fold_configs(base, plan.n_folds))]
 
     if cfg["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
@@ -255,7 +240,6 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(manifest)
     plan = SplitPlan.from_dict(
         json.loads((run / "split.json").read_text(encoding="utf-8")))
-    kind = run_cfg.get("model_kind", "siamese")
 
     checkpoints = [run / f"fold{i}" / "checkpoint.npz"
                    for i in range(plan.n_folds)]
@@ -278,28 +262,22 @@ def cmd_eval(args) -> int:
     fold_summaries = []
     gamma_reports = {}
     recovery = {}
-    scatter_model = scatter_cache = None
+    scatter_scorer = scatter_cache = None
 
     for i in range(plan.n_folds):
         model, alpha, meta = load_checkpoint(checkpoints[i])
         cache = {}       # image key -> encoding under this fold's checkpoint
         fold = plan.fold_spec(i)
         val_idx = dataset.indices_for_patients(fold.val_patients)
-        if oracle is not None:
-            val_scores = oracle.scores_for(val_idx)
-            test_scores = oracle.scores_for(test_idx)
-        elif kind == "naive":
-            val_scores = test_scores = None
-        else:
-            val_scores = evaluate.pair_scores(model, dataset, val_idx, cache=cache)
-            test_scores = evaluate.pair_scores(model, dataset, test_idx, cache=cache)
-
-        if kind == "naive" and oracle is None:
-            probs = evaluate.pair_scores(model, dataset, test_idx,
-                                         cache=cache)["probs"]
-            pred = probs.argmax(axis=1)
+        scorer = oracle or model
+        score = oracle.scores_for if oracle is not None else \
+            functools.partial(evaluate.pair_scores, model, dataset, cache=cache)
+        if scorer.kind == "naive":
+            pred = score(test_idx)["probs"].argmax(axis=1)
             th = None
         else:
+            val_scores = score(val_idx)
+            test_scores = score(test_idx)
             th = metrics.calibrate_boundary(val_scores["prob_progression"],
                                             val_scores["prob_other"],
                                             dataset.labels_of(val_idx))
@@ -316,39 +294,39 @@ def cmd_eval(args) -> int:
             "best_epoch": meta.get("best_epoch"),
             "best_val_loss": meta.get("best_val_loss")})
 
-        if alpha is not None and oracle is None:
-            train_idx = dataset.indices_for_patients(fold.train_patients)
-            try:
-                gamma_reports[f"fold{i}"] = evaluate.gamma_adjacency_report(
-                    alpha, dataset, indices=train_idx).to_dict()
-            except ConfigError:
-                pass
-        if kind == "siamese" and oracle is None and dataset.latents is not None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(cfg["seed"]).spawn(plan.n_folds)[i])
-            recovery[f"fold{i}"] = evaluate.severity_recovery(
-                model, dataset, plan.test_patients, rng=rng,
-                n_permutations=cfg["permutations"], cache=cache)
-        if i == 0:
-            scatter_model = oracle if oracle is not None else \
-                (model if kind == "siamese" else None)
-            scatter_cache = cache
+        if scorer.kind == "siamese":
+            if alpha is not None:
+                train_idx = dataset.indices_for_patients(fold.train_patients)
+                try:
+                    gamma_reports[f"fold{i}"] = evaluate.gamma_adjacency_report(
+                        alpha, dataset, indices=train_idx).to_dict()
+                except ConfigError:
+                    pass
+            if dataset.latents is not None:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(cfg["seed"]).spawn(plan.n_folds)[i])
+                recovery[f"fold{i}"] = evaluate.severity_recovery(
+                    model, dataset, plan.test_patients, rng=rng,
+                    n_permutations=cfg["permutations"], cache=cache)
+        if i == 0 and scorer.kind != "naive":
+            scatter_scorer, scatter_cache = scorer, cache
 
     for name, agg in (("mean", np.mean), ("std", np.std)):
         metric_rows.append({"fold": name, **{
             k: float(agg([float(r[k]) for r in metric_rows[:plan.n_folds]]))
             for k in metrics.METRIC_KEYS}})
-    _write_csv(out / "metrics.csv", ("fold", *metrics.METRIC_KEYS), metric_rows)
+    train_mod.write_csv(out / "metrics.csv", ("fold", *metrics.METRIC_KEYS),
+                        metric_rows)
 
-    if scatter_model is not None:
-        _write_csv(out / "delta_scatter.csv",
-                   ("pair_id", "delta", "prob_other", "label", "clean_label"),
-                   evaluate.export_delta_scatter(scatter_model, dataset,
-                                                 cache=scatter_cache))
+    if scatter_scorer is not None:
+        train_mod.write_csv(out / "delta_scatter.csv",
+                            ("pair_id", "delta", "prob_other", "label", "clean_label"),
+                            evaluate.export_delta_scatter(scatter_scorer, dataset,
+                                                          cache=scatter_cache))
     if gamma_reports:
         _write_json(out / "gamma_report.json", gamma_reports)
     _write_json(out / "summary.json", {
-        "model_kind": "oracle" if oracle is not None else kind,
+        "model_kind": scorer.kind,
         "folds": fold_summaries, "severity_recovery": recovery})
     print(f"evaluated {plan.n_folds} folds on {len(test_idx)} test pairs -> {out}")
     return EXIT_OK
@@ -386,8 +364,11 @@ def cmd_fewshot(args) -> int:
                            {**cfg, "checkpoint": [f"{n}={p}" for n, p in entries]},
                            [p for _, p in entries])
 
-    first_model, _, _ = load_checkpoint(entries[0][1])
-    enc = first_model.config
+    models = [load_checkpoint(path)[0] for _, path in entries]
+    enc = models[0].config
+    for (_, path), model in zip(entries, models):
+        if model.config.to_dict() != enc.to_dict():
+            raise ConfigError(f"checkpoint {path} has a different input size")
     cohort_cfg = synthgen.CohortConfig(
         image_height=enc.in_height, image_width=enc.in_width,
         severity_max=cfg["severity_max"], blob_area_per_severity=cfg["blob_area"],
@@ -397,12 +378,10 @@ def cmd_fewshot(args) -> int:
     imgs = activity.images[:, None].astype(np.float64) / 255.0
 
     rows = []
-    root = np.random.SeedSequence(cfg["seed"])
-    for idx, (name, path) in enumerate(entries):
-        model, _, _ = load_checkpoint(path)
-        if model.config.to_dict() != enc.to_dict():
-            raise ConfigError(f"checkpoint {path} has a different input size")
-        rng = np.random.default_rng(root.spawn(len(entries))[idx])
+    # checkpoint idx draws its shots from child idx, whatever follows it
+    seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(entries))
+    for (name, _), model, seed in zip(entries, models, seeds):
+        rng = np.random.default_rng(seed)
         embedded = evaluate.embed_batched(model, imgs)
         if model.kind == "naive":
             curve = evaluate.fewshot_curve_logistic(embedded, activity.active,
@@ -413,8 +392,8 @@ def cmd_fewshot(args) -> int:
         for row in curve:
             rows.append({"model": name, "k": row["k"], "mean": row["mean"],
                          "std": row["std"], "n_reps": cfg["reps"]})
-    _write_csv(out / "fewshot_curve.csv",
-               ("model", "k", "mean", "std", "n_reps"), rows)
+    train_mod.write_csv(out / "fewshot_curve.csv",
+                        ("model", "k", "mean", "std", "n_reps"), rows)
     print(f"few-shot curves for {len(entries)} model(s) -> {out}")
     return EXIT_OK
 

@@ -300,6 +300,28 @@ def _best_threshold(cand, eval_z, eval_active, tie_center):
     return best[1], best[2], best[3]
 
 
+def _candidate_thresholds(z):
+    """Both infinities plus the midpoints of consecutive distinct values."""
+    uniq = np.unique(z)
+    return [-np.inf, np.inf] + [float(0.5 * (a + b))
+                                for a, b in zip(uniq[:-1], uniq[1:])]
+
+
+def _draw_shots(is_active, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of k inactive then k active examples, drawn without
+    replacement by one rng.choice per class in that order."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    shot_idx = []
+    for name, mask in (("inactive", ~is_active), ("active", is_active)):
+        avail = np.flatnonzero(mask)
+        if len(avail) < k:
+            raise ConfigError(
+                f"class {name!r} has only {len(avail)} examples, need k={k}")
+        shot_idx.append(rng.choice(avail, size=k, replace=False))
+    return np.concatenate(shot_idx)
+
+
 def fewshot_threshold(z, is_active, k: int, rng: np.random.Generator):
     """Pick a 1-D threshold and orientation from k examples per class.
 
@@ -311,24 +333,10 @@ def fewshot_threshold(z, is_active, k: int, rng: np.random.Generator):
     """
     z = np.asarray(z, dtype=np.float64)
     is_active = np.asarray(is_active, dtype=bool)
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    shot_idx = []
-    for name, mask in (("inactive", ~is_active), ("active", is_active)):
-        avail = np.flatnonzero(mask)
-        if len(avail) < k:
-            raise ConfigError(
-                f"class {name!r} has only {len(avail)} examples, need k={k}")
-        shot_idx.append(rng.choice(avail, size=k, replace=False))
-    shot_idx = np.concatenate(shot_idx)
+    shot_idx = _draw_shots(is_active, k, rng)
     shot_z = z[shot_idx]
-    shot_active = is_active[shot_idx]
-
-    uniq = np.unique(shot_z)
-    cand = [-np.inf, np.inf] + [float(0.5 * (a + b))
-                                for a, b in zip(uniq[:-1], uniq[1:])]
-    thr, orient, _ = _best_threshold(cand, shot_z, shot_active,
-                                     float(np.median(shot_z)))
+    thr, orient, _ = _best_threshold(_candidate_thresholds(shot_z), shot_z,
+                                     is_active[shot_idx], float(np.median(shot_z)))
     return thr, orient, shot_idx
 
 
@@ -337,11 +345,8 @@ def optimal_threshold(z, is_active):
 
     Returns (threshold, orientation, balanced_accuracy)."""
     z = np.asarray(z, dtype=np.float64)
-    uniq = np.unique(z)
-    cand = [-np.inf, np.inf] + [float(0.5 * (a + b))
-                                for a, b in zip(uniq[:-1], uniq[1:])]
-    return _best_threshold(cand, z, np.asarray(is_active, dtype=bool),
-                           float(np.median(z)))
+    return _best_threshold(_candidate_thresholds(z), z,
+                           np.asarray(is_active, dtype=bool), float(np.median(z)))
 
 
 def fewshot_curve(z, is_active, k_list, repetitions: int, rng: np.random.Generator):
@@ -395,14 +400,7 @@ def fewshot_curve_logistic(features, is_active, k_list, repetitions: int,
     for k in k_list:
         accs = []
         for _ in range(repetitions):
-            shot_idx = []
-            for name, mask in (("inactive", ~is_active), ("active", is_active)):
-                avail = np.flatnonzero(mask)
-                if len(avail) < k:
-                    raise ConfigError(
-                        f"class {name!r} has only {len(avail)} examples, need k={k}")
-                shot_idx.append(rng.choice(avail, size=k, replace=False))
-            shot_idx = np.concatenate(shot_idx)
+            shot_idx = _draw_shots(is_active, k, rng)
             w, b = fit_logistic(features[shot_idx], is_active[shot_idx])
             rest = np.setdiff1d(np.arange(len(is_active)), shot_idx)
             pred = features[rest] @ w + b > 0

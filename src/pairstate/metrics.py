@@ -127,10 +127,6 @@ def metric_suite(cm) -> dict:
     return out
 
 
-def macro_f1(true_idx, pred_idx, n_classes: int = 4) -> float:
-    return metric_suite(confusion_matrix(true_idx, pred_idx, n_classes))["f1"]
-
-
 def calibrate_boundary(prob_progression, prob_other, label_list) -> DecisionThresholds:
     """Grid-search the symmetric band half-width maximizing macro F1 of the
     4-class decision on validation data; ties go to the smaller width. The

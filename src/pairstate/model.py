@@ -10,7 +10,6 @@ merge of the two ungradability probabilities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,19 +51,6 @@ def other_prob(z_other_1, z_other_2):
     s1 = sigmoid(z_other_1)
     s2 = sigmoid(z_other_2)
     return s1 + s2 - s1 * s2
-
-
-@dataclass(frozen=True)
-class PairPrediction:
-    """Everything the model says about one image pair."""
-    state_logit_1: float
-    state_logit_2: float
-    other_logit_1: float
-    other_logit_2: float
-    delta: float
-    gamma: float
-    prob_progression: float
-    prob_other: float
 
 
 class AlphaTable:
@@ -140,9 +126,6 @@ class SiameseModel:
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def weight_decay_exempt(self) -> set:
-        return set()
-
     # -- forward ------------------------------------------------------------
 
     def features(self, images):
@@ -163,22 +146,6 @@ class SiameseModel:
         if single:
             return float(z_state[0]), float(z_other[0])
         return z_state, z_other
-
-    def forward_pair(self, img1, img2, alpha_table: AlphaTable | None = None,
-                     pair_id=None) -> PairPrediction:
-        """Full pair prediction; gamma = 1 unless a table entry applies."""
-        z1_state, z1_other = self.encode(img1)
-        z2_state, z2_other = self.encode(img2)
-        delta = pair_delta(z1_state, z2_state)
-        alpha = alpha_table.alpha(pair_id) if alpha_table is not None else 0.0
-        gamma = float(gamma_of(alpha))
-        return PairPrediction(
-            state_logit_1=z1_state, state_logit_2=z2_state,
-            other_logit_1=z1_other, other_logit_2=z2_other,
-            delta=float(delta), gamma=gamma,
-            prob_progression=float(progression_prob(delta, gamma)),
-            prob_other=float(other_prob(z1_other, z2_other)),
-        )
 
     def embed(self, images):
         """Per-image rows [z_state, z_other], (N, 2), that pair_head reads."""
@@ -221,8 +188,9 @@ class SiameseModel:
         these pairs. When pair_ids is given, returns a dense alpha gradient
         of length alpha_size under grads["alpha"].
 
-        The loss value matches objective.total_loss on the same
-        predictions; gradients are the exact (unclamped) BCE gradients.
+        The loss value is objective.loss_parts on the batch's progression
+        and ungradability probabilities; gradients are the exact
+        (unclamped) BCE gradients.
         """
         n = img1.shape[0]
         stacked = np.concatenate([img1, img2], axis=0).astype(np.float64)

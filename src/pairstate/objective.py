@@ -71,20 +71,3 @@ def loss_parts(p_state, y_state, state_mask, p_other, y_other, alpha, lam):
     return {"loss": bce_state + bce_other + reg,
             "bce_state": bce_state, "bce_other": bce_other, "reg": reg}
 
-
-def total_loss(predictions, pair_labels, lam) -> float:
-    """Mean objective over a batch of PairPrediction and 4-class labels.
-
-    Each pair contributes BCE on the ungradability OR-probability, BCE on
-    the slope-adjusted progression probability when a progression target
-    exists, and lam * |alpha| where alpha = log2(gamma).
-    """
-    if len(predictions) == 0:
-        raise ValueError("empty batch")
-    if len(predictions) != len(pair_labels):
-        raise ValueError("predictions and labels differ in length")
-    y_state, mask, y_other = encode_targets(pair_labels)
-    p_state = np.array([p.prob_progression for p in predictions])
-    p_other = np.array([p.prob_other for p in predictions])
-    alpha = np.log2(np.array([p.gamma for p in predictions]))
-    return loss_parts(p_state, y_state, mask, p_other, y_other, alpha, lam)["loss"]

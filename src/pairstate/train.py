@@ -233,20 +233,15 @@ def cross_validate(dataset: Dataset, config: TrainConfig, n_folds: int = 5,
     """Train every fold of a patient-wise split.
 
     Returns (plan, [FoldResult], summary) where summary holds per-fold best
-    validation losses and their mean +/- population std. Per-fold seeds are
-    derived from config.seed, so folds are reproducible independently of
-    execution order.
+    validation losses and their mean +/- population std. Each fold trains
+    under its fold_configs entry.
     """
     if plan is None:
         plan = split_patientwise(dataset, n_folds=n_folds,
                                  holdout_frac=holdout_frac, seed=config.seed)
-    fold_seeds = np.random.SeedSequence(config.seed).generate_state(
-        plan.n_folds, dtype=np.uint64)
-    results = []
-    for i in range(plan.n_folds):
-        fold_config = dataclasses.replace(config, seed=int(fold_seeds[i]))
-        results.append(train_fold(dataset, plan.fold_spec(i), fold_config,
-                                  encoder_config=encoder_config, kind=kind))
+    results = [train_fold(dataset, plan.fold_spec(i), fold_config,
+                          encoder_config=encoder_config, kind=kind)
+               for i, fold_config in enumerate(fold_configs(config, plan.n_folds))]
     losses = [r.best_val_loss for r in results]
     mean, std = mean_std(losses)
     summary = {"val_loss_per_fold": losses, "val_loss_mean": mean,
@@ -254,14 +249,27 @@ def cross_validate(dataset: Dataset, config: TrainConfig, n_folds: int = 5,
     return plan, results, summary
 
 
-def write_history_csv(path, history_rows) -> None:
-    """History as CSV; floats via repr so identical runs are byte-identical."""
+def fold_configs(config: TrainConfig, n_folds: int) -> list:
+    """One TrainConfig per fold, fold i seeded by the i-th word of
+    SeedSequence(config.seed), so every fold is reproducible independently
+    of execution order."""
+    seeds = np.random.SeedSequence(config.seed).generate_state(
+        n_folds, dtype=np.uint64)
+    return [dataclasses.replace(config, seed=int(s)) for s in seeds]
+
+
+def write_csv(path, columns, rows) -> None:
+    """CSV of the given columns of each row dict, floats via repr and "\n"
+    line endings, so identical runs write identical bytes."""
     def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+        return repr(v) if isinstance(v, float) else str(v)
 
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(HISTORY_COLUMNS) + "\n")
-        for row in history_rows:
-            f.write(",".join(fmt(row[c]) for c in HISTORY_COLUMNS) + "\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(fmt(row[c]) for c in columns) + "\n")
+
+
+def write_history_csv(path, history_rows) -> None:
+    """One row per epoch, HISTORY_COLUMNS in order."""
+    write_csv(path, HISTORY_COLUMNS, history_rows)

@@ -246,6 +246,44 @@ def test_fewshot_deterministic(train_dir, tmp_path):
         (outs[1] / "fewshot_curve.csv").read_bytes()
 
 
+def _fewshot_rows(out):
+    return (out / "fewshot_curve.csv").read_text().splitlines()[1:]
+
+
+def test_fewshot_seed_independent_of_later_checkpoints(train_dir, tmp_path):
+    # checkpoint idx draws from child idx of SeedSequence(seed), so listing
+    # more checkpoints after it leaves its rows unchanged
+    cks = [f"{name}={train_dir / fold / 'checkpoint.npz'}"
+           for name, fold in (("a", "fold0"), ("b", "fold1"), ("c", "fold0"))]
+    rows = {}
+    for n in (2, 3):
+        out = tmp_path / f"fs{n}"
+        flags = [x for ck in cks[:n] for x in ("--checkpoint", ck)]
+        assert run("fewshot", *flags, "--out", out, "--k-list", "1,2",
+                   "--reps", 4, "--n-images", 60, "--seed", 5) == 0
+        rows[n] = [r for r in _fewshot_rows(out) if r.startswith("b,")]
+    assert len(rows[2]) == 2
+    assert rows[2] == rows[3]
+
+
+def test_fewshot_loads_each_checkpoint_once(train_dir, tmp_path, monkeypatch):
+    from pairstate import cli
+    loaded = []
+
+    def counting_load(path):
+        loaded.append(str(path))
+        return real_load(path)
+
+    real_load = cli.load_checkpoint
+    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+    cks = [train_dir / "fold0" / "checkpoint.npz",
+           train_dir / "fold1" / "checkpoint.npz"]
+    assert run("fewshot", "--checkpoint", f"a={cks[0]}", "--checkpoint",
+               f"b={cks[1]}", "--out", tmp_path / "fs", "--k-list", "1",
+               "--reps", 2, "--n-images", 60, "--seed", 5) == 0
+    assert loaded == [str(p) for p in cks]
+
+
 def test_fewshot_missing_checkpoint(tmp_path):
     assert run("fewshot", "--checkpoint", f"x={tmp_path}/no.npz",
                "--out", tmp_path / "fs") == 2

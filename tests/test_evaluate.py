@@ -339,13 +339,32 @@ def test_logistic_deterministic():
     assert np.array_equal(w1, w2) and b1 == b2
 
 
-def test_fewshot_curve_logistic_runs():
+def test_fewshot_curve_logistic_runs(monkeypatch):
     rng = np.random.default_rng(7)
     x = np.concatenate([rng.normal(-1, 1, (60, 4)), rng.normal(1, 1, (60, 4))])
     y = np.array([False] * 60 + [True] * 60)
     rows = fewshot_curve_logistic(x, y, [1, 4], 4, np_rng(11))
     assert len(rows) == 2
     assert all(0.0 <= r["mean"] <= 1.0 for r in rows)
+    with pytest.raises(ConfigError, match="k must be"):
+        fewshot_curve_logistic(x, y, [0], 1, np_rng())
+
+    # from one rng state, both curves draw the same shots in the same order
+    fitted = []
+
+    def record_fit(features, is_active):
+        fitted.append(features[:, 0].astype(int))
+        return np.zeros(features.shape[1]), 0.0
+
+    monkeypatch.setattr(evaluate, "fit_logistic", record_fit)
+    fewshot_curve_logistic(np.arange(len(y), dtype=float)[:, None], y,
+                           [1, 4], 4, np_rng(11))
+    ref_rng = np_rng(11)
+    expected = [fewshot_threshold(x[:, 0], y, k, ref_rng)[2]
+                for k in (1, 4) for _ in range(4)]
+    assert len(fitted) == len(expected)
+    for got, want in zip(fitted, expected):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -167,44 +167,47 @@ def test_encoder_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
-def test_forward_pair_antisymmetry_and_symmetry():
+def test_pair_head_antisymmetry_and_symmetry():
     model = tiny_model(5)
-    rng = np.random.default_rng(6)
-    a = rng.random((16, 16))
-    b = rng.random((16, 16))
-    ab = model.forward_pair(a, b)
-    ba = model.forward_pair(b, a)
-    assert abs(ab.prob_progression + ba.prob_progression - 1.0) < 1e-12
-    assert ab.prob_other == ba.prob_other
-    aa = model.forward_pair(a, a)
-    assert aa.prob_progression == 0.5
-    assert aa.delta == 0.0
+    rows = model.embed(np.random.default_rng(6).random((2, 1, 16, 16)))
+    a, b = rows[:1], rows[1:]
+    ab = model.pair_head(a, b)
+    ba = model.pair_head(b, a)
+    assert ab["delta"][0] == -ba["delta"][0]
+    assert abs(ab["prob_progression"][0] + ba["prob_progression"][0] - 1.0) < 1e-12
+    assert ab["prob_other"][0] == ba["prob_other"][0]
+    aa = model.pair_head(a, a)
+    assert aa["prob_progression"][0] == 0.5
+    assert aa["delta"][0] == 0.0
 
 
-def test_forward_pair_uses_alpha_table():
+def test_pair_head_uses_alpha_table_slope():
     model = tiny_model(7)
     table = AlphaTable(np.array([0.0, 1.0]))
-    rng = np.random.default_rng(8)
-    a, b = rng.random((16, 16)), rng.random((16, 16))
-    plain = model.forward_pair(a, b)
-    steep = model.forward_pair(a, b, alpha_table=table, pair_id=1)
-    assert plain.gamma == 1.0
-    assert steep.gamma == 2.0
-    assert steep.delta == plain.delta
-    no_id = model.forward_pair(a, b, alpha_table=table)
-    assert no_id.gamma == 1.0
+    rows = model.embed(np.random.default_rng(8).random((2, 1, 16, 16)))
+    a, b = rows[:1], rows[1:]
+    plain = model.pair_head(a, b)
+    steep = model.pair_head(a, b, gamma=table.gamma(1))
+    assert table.gamma(1) == 2.0
+    assert steep["delta"][0] == plain["delta"][0]
+    assert plain["prob_progression"][0] == progression_prob(plain["delta"][0], 1.0)
+    assert steep["prob_progression"][0] == progression_prob(plain["delta"][0], 2.0)
+    assert table.gamma(None) == 1.0
+    no_id = model.pair_head(a, b, gamma=table.gamma(None))
+    assert no_id["prob_progression"][0] == plain["prob_progression"][0]
 
 
-def test_predict_pairs_matches_forward_pair():
+def test_predict_pairs_matches_single_image_encode():
     model = tiny_model(9)
     rng = np.random.default_rng(10)
     x1 = rng.random((3, 1, 16, 16))
     x2 = rng.random((3, 1, 16, 16))
     batch = model.predict_pairs(x1, x2)
     for i in range(3):
-        single = model.forward_pair(x1[i, 0], x2[i, 0])
-        assert batch["delta"][i] == pytest.approx(single.delta, abs=1e-12)
-        assert batch["prob_other"][i] == pytest.approx(single.prob_other, abs=1e-12)
+        z1, o1 = model.encode(x1[i, 0])
+        z2, o2 = model.encode(x2[i, 0])
+        assert batch["delta"][i] == pytest.approx(z1 - z2, abs=1e-12)
+        assert batch["prob_other"][i] == pytest.approx(other_prob(o1, o2), abs=1e-12)
 
 
 def test_param_count_reported():

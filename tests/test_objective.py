@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairstate import labels, objective
-from pairstate.model import PairPrediction, SiameseModel, other_prob, progression_prob
+from pairstate.model import SiameseModel, gamma_of, other_prob, progression_prob
 from pairstate.nn import EncoderConfig, sigmoid
 
 LN2 = float(np.log(2.0))
@@ -15,13 +15,17 @@ LN2 = float(np.log(2.0))
 BCE_HALF_075 = 0.8369882167858357731368416244550902838273
 
 
-def make_pred(delta, gamma=1.0, z_other=(-30.0, -30.0)):
-    return PairPrediction(
-        state_logit_1=delta, state_logit_2=0.0,
-        other_logit_1=z_other[0], other_logit_2=z_other[1],
-        delta=delta, gamma=gamma,
-        prob_progression=float(progression_prob(delta, gamma)),
-        prob_other=float(other_prob(*z_other)))
+def loss_of(pair_labels, delta, lam, alpha=0.0, z_other=(-30.0, -30.0)):
+    """objective.loss_parts total over pairs with the given state-logit
+    differences, slope exponents and ungradability logits (each a scalar
+    or one value per pair)."""
+    shape = (len(pair_labels),)
+    delta, alpha, o1, o2 = (np.broadcast_to(np.asarray(v, dtype=np.float64), shape)
+                            for v in (delta, alpha, *z_other))
+    y_state, mask, y_other = objective.encode_targets(pair_labels)
+    return objective.loss_parts(progression_prob(delta, gamma_of(alpha)), y_state,
+                                mask, other_prob(o1, o2), y_other, alpha,
+                                lam)["loss"]
 
 
 # ---------------------------------------------------------------------------
@@ -67,37 +71,36 @@ def test_encode_targets():
 
 
 # ---------------------------------------------------------------------------
-# total_loss
+# total loss of a batch (loss_parts)
 # ---------------------------------------------------------------------------
 
 def test_total_loss_perfect_predictions():
-    preds = [make_pred(50.0), make_pred(-50.0),
-             make_pred(0.0, z_other=(50.0, -30.0))]
     lab = [labels.BETTER, labels.WORSE, labels.OTHER]
-    assert objective.total_loss(preds, lab, lam=0.0) < 1e-9
+    loss = loss_of(lab, [50.0, -50.0, 0.0], lam=0.0,
+                   z_other=([-30.0, -30.0, 50.0], -30.0))
+    assert loss < 1e-9
 
 
 def test_total_loss_single_stable_pair():
-    loss = objective.total_loss([make_pred(0.0)], [labels.STABLE], lam=0.15)
-    assert loss == pytest.approx(LN2, abs=1e-9)
+    assert loss_of([labels.STABLE], 0.0, lam=0.15) == pytest.approx(LN2, abs=1e-9)
 
 
 def test_total_loss_alpha_penalty():
     # alpha = 2 (gamma = 4), otherwise perfect: loss = 0.15 * |2| = 0.30
-    pred = make_pred(200.0, gamma=4.0)
-    loss = objective.total_loss([pred], [labels.BETTER], lam=0.15)
+    loss = loss_of([labels.BETTER], 200.0, lam=0.15, alpha=2.0)
     assert loss == pytest.approx(0.30, abs=1e-9)
 
 
 def test_total_loss_other_pairs_skip_state_term():
-    bad_state = make_pred(-200.0, z_other=(50.0, -30.0))
-    loss = objective.total_loss([bad_state], [labels.OTHER], lam=0.0)
+    loss = loss_of([labels.OTHER], -200.0, lam=0.0, z_other=(50.0, -30.0))
     assert loss < 1e-9
 
 
 def test_total_loss_empty_batch():
-    with pytest.raises(ValueError):
-        objective.total_loss([], [], lam=0.1)
+    empty = np.array([])
+    with pytest.raises(ValueError, match="empty batch"):
+        objective.loss_parts(empty, empty, empty.astype(bool), empty, empty,
+                             empty, 0.1)
 
 
 def test_total_loss_swap_invariance():
@@ -106,13 +109,12 @@ def test_total_loss_swap_invariance():
     for _ in range(40):
         delta = rng.normal(0, 3)
         zo = tuple(rng.normal(0, 2, size=2))
-        gamma = float(np.exp2(rng.normal(0, 0.5)))
-        fwd = make_pred(delta, gamma, zo)
-        rev = make_pred(-delta, gamma, (zo[1], zo[0]))
+        alpha = rng.normal(0, 0.5)
         for lab, mirrored in ((labels.BETTER, labels.WORSE),
                               (labels.STABLE, labels.STABLE)):
-            a = objective.total_loss([fwd], [lab], lam=0.3)
-            b = objective.total_loss([rev], [mirrored], lam=0.3)
+            a = loss_of([lab], delta, lam=0.3, alpha=alpha, z_other=zo)
+            b = loss_of([mirrored], -delta, lam=0.3, alpha=alpha,
+                        z_other=zo[::-1])
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -159,6 +161,7 @@ def full_loss(model, x1, x2, y, mask, y_other, alpha, lam):
 
 
 def test_loss_and_grads_matches_total_loss_value():
+    # reference: each image encoded on its own, then the pair arithmetic
     rng = np.random.default_rng(1)
     model = SiameseModel.init(
         EncoderConfig(in_height=16, in_width=16, conv_widths=(2,), feature_dim=4), rng)
@@ -168,15 +171,12 @@ def test_loss_and_grads_matches_total_loss_value():
     y, mask, y_other = objective.encode_targets(lab)
     alpha = rng.normal(0, 0.4, 4)
     parts, _ = model.loss_and_grads(x1, x2, y, mask, y_other, alpha, 0.15)
-    preds = []
-    for i in range(4):
-        p = model.forward_pair(x1[i, 0], x2[i, 0])
-        gamma = float(np.exp2(alpha[i]))
-        preds.append(PairPrediction(
-            p.state_logit_1, p.state_logit_2, p.other_logit_1, p.other_logit_2,
-            p.delta, gamma, float(progression_prob(p.delta, gamma)), p.prob_other))
-    assert parts["loss"] == pytest.approx(objective.total_loss(preds, lab, 0.15),
-                                          rel=1e-12)
+    z1, o1 = np.array([model.encode(img[0]) for img in x1]).T
+    z2, o2 = np.array([model.encode(img[0]) for img in x2]).T
+    ref = objective.loss_parts(progression_prob(z1 - z2, gamma_of(alpha)), y, mask,
+                               other_prob(o1, o2), y_other, alpha, 0.15)
+    for key in ("loss", "bce_state", "bce_other", "reg"):
+        assert parts[key] == pytest.approx(ref[key], rel=1e-12)
 
 
 def test_objective_gradients_match_finite_differences():

@@ -175,6 +175,17 @@ def test_history_csv_round_trip(tiny_dataset, tmp_path):
     first = dict(zip(train.HISTORY_COLUMNS, lines[1].split(",")))
     assert float(first["train_loss"]) == res.history[0]["train_loss"]
 
+    # floats via repr, ints via str, "\n" line endings
+    row = dict.fromkeys(train.HISTORY_COLUMNS, 0)
+    row.update(train_loss=1 / 3, val_loss=0.1, val_bce_state=float("nan"),
+               sampled_better=7)
+    train.write_history_csv(path, [row])
+    assert path.read_bytes() == (
+        b"epoch,train_loss,train_bce_state,train_bce_other,train_reg,val_loss,"
+        b"val_bce_state,val_bce_other,sampled_better,sampled_stable,"
+        b"sampled_worse,sampled_other\n"
+        b"0,0.3333333333333333,0,0,0,0.1,nan,0,7,0,0,0\n")
+
 
 def test_divergence_aborts_with_context(tiny_dataset):
     import warnings
@@ -222,6 +233,17 @@ def test_cross_validate_disjoint_and_aggregated(tiny_dataset, tmp_path):
         for name, p in r.model.params.items():
             assert np.array_equal(loaded.params[name], p)
         assert np.array_equal(alpha.values, r.alpha_table.values)
+    # `pairstate train` gives fold i the seed cross_validate gives it
+    from pairstate.cli import main
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(tiny_dataset.root / "manifest.jsonl"),
+                 "--out", str(run), "--folds", "3", "--epochs", "1",
+                 "--batch-size", "8", "--conv-widths", "2,3",
+                 "--feature-dim", "6", "--seed", "4", "--no-augment"]) == 0
+    for r in results:
+        _, _, meta = load_checkpoint(run / f"fold{r.fold}" / "checkpoint.npz")
+        assert meta["train_config"]["seed"] == r.config.seed
+    assert len({r.config.seed for r in results}) == 3
 
 
 def test_naive_kind_trains(tiny_dataset):
