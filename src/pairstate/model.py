@@ -76,10 +76,10 @@ class AlphaTable:
         return float(self.values[pair_id])
 
     def gamma(self, pair_id) -> float:
-        return float(np.exp2(self.alpha(pair_id)))
+        return float(gamma_of(self.alpha(pair_id)))
 
     def gammas(self) -> np.ndarray:
-        return np.exp2(self.values)
+        return gamma_of(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ class SiameseModel:
         z_state, z_other = self._heads(feat)
         z1, z2 = z_state[:n], z_state[n:]
         delta = z1 - z2
-        gamma = np.exp2(alpha_batch)
+        gamma = gamma_of(alpha_batch)
         p_state = sigmoid(gamma * delta)
         s1 = sigmoid(z_other[:n])
         s2 = sigmoid(z_other[n:])

@@ -6,6 +6,14 @@ forward/backward function pairs over explicit caches; internally the data
 layout is channels-last (N, H, W, C), which keeps the im2col patch matrix
 assembly cache-friendly and feeds BLAS without transposes. The encoder
 accepts the conventional (N, 1, H, W) image batches.
+
+The kernels move each value as few times as they can without changing a
+bit of the result. im2col is one contiguous copy of a strided 3x3 window
+view of the padded input, and the input gradient of a convolution reuses
+it. 2x2 max pooling works on the four stride-2 quadrant slices of its
+input: the forward is their elementwise maximum, and the backward counts
+each window's ties as the sum of four equality masks and writes each
+quadrant's share into one output array.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def sigmoid(x):
@@ -34,16 +43,12 @@ def _im2col(xp, oh, ow):
     """Padded (N, H+2, W+2, C) -> patch matrix (N*OH*OW, 9C).
 
     Patch columns are offset-major: block k = (dy*3 + dx) holds the C
-    channels of the pixel shifted by (dy, dx).
+    channels of the pixel shifted by (dy, dx). The matrix is one copy of a
+    strided (N, OH, OW, dy, dx, C) window view of the padded input.
     """
     n, _, _, c = xp.shape
-    cols = np.empty((n, oh, ow, 9 * c))
-    k = 0
-    for dy in range(3):
-        for dx in range(3):
-            cols[..., k * c:(k + 1) * c] = xp[:, dy:dy + oh, dx:dx + ow, :]
-            k += 1
-    return cols.reshape(n * oh * ow, 9 * c)
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, :oh, :ow]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, 9 * c)
 
 
 def _kernel_matrix(weight):
@@ -104,12 +109,16 @@ def relu_backward(dout, mask):
     return dout * mask
 
 
+def _quadrants(x):
+    # the four stride-2 offsets of every 2x2 window, each (N, H/2, W/2, C)
+    return [x[:, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+
+
 def maxpool2_forward(x):
     """2x2 max pooling, stride 2, channels-last. H and W must be even."""
-    n, h, w, c = x.shape
-    xr = x.reshape(n, h // 2, 2, w // 2, 2, c)
-    out = xr.max(axis=(2, 4))
-    return out, (xr, out)
+    q = _quadrants(x)
+    out = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    return out, (x, out)
 
 
 def maxpool2_backward(dout, cache):
@@ -117,13 +126,16 @@ def maxpool2_backward(dout, cache):
     # max. Ties are not measure-zero here: a dead-ReLU patch makes a whole
     # window equal the conv bias, and those tied entries shift identically
     # under any parameter change, so the even split is the exact gradient.
-    xr, out = cache
-    expanded = out[:, :, None, :, None, :]
-    mask = xr == expanded
-    ties = mask.sum(axis=(2, 4), keepdims=True)
-    dxr = mask * (dout[:, :, None, :, None, :] / ties)
-    n, h2, _, w2, _, c = xr.shape
-    return dxr.reshape(n, h2 * 2, w2 * 2, c)
+    x, out = cache
+    masks = [q == out for q in _quadrants(x)]
+    ties = masks[0].astype(np.int8)
+    for mask in masks[1:]:
+        ties += mask
+    g = dout / ties
+    dx = np.empty(x.shape)
+    for mask, dq in zip(masks, _quadrants(dx)):
+        np.multiply(mask, g, out=dq)
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,8 @@ class Dataset:
 def load_dataset(manifest_path) -> Dataset:
     """Parse a manifest, validate every referenced image, index by patient.
 
+    Every pair_id must be unique and lie in [0, number of records).
+
     Raster sizes may differ between files; the dataset presents every image
     zero-padded to the maximum dimensions.
     """
@@ -127,6 +129,15 @@ def load_dataset(manifest_path) -> Dataset:
             ))
     if not pairs:
         raise DataError(f"{manifest_path}: empty manifest")
+    # pair_ids index the per-pair slope table, one slot per record
+    seen = set()
+    for i, p in enumerate(pairs):
+        if not 0 <= p.pair_id < len(pairs):
+            raise DataError(f"record {i}: pair_id {p.pair_id} outside "
+                            f"[0, {len(pairs)}) for {len(pairs)} records")
+        if p.pair_id in seen:
+            raise DataError(f"record {i}: duplicate pair_id {p.pair_id}")
+        seen.add(p.pair_id)
 
     # differing raster sizes are allowed: images are zero-padded to the
     # maximum dimensions on load
@@ -248,59 +259,73 @@ class AugmentParams:
             raise ConfigError("hflip_prob must lie in [0, 1]")
 
 
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize with half-pixel-centred bilinear sampling and edge clamping.
+def _crop_axis(start, size, out_size):
+    """Per-row sample grid of one axis: half-pixel-centred bilinear sampling
+    of `out_size` points over [start, start + size) with edge clamping.
 
-    Identity when the output size equals the input size.
+    start, size: (N,) ints. Returns the absolute low and high source indices
+    (N, out_size) and the weight of the high one.
     """
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    if (h, w) == (out_h, out_w):
-        return img.copy()
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    a = img[np.ix_(y0, x0)]
-    b = img[np.ix_(y0, x1)]
-    c = img[np.ix_(y1, x0)]
-    d = img[np.ix_(y1, x1)]
-    return (a * (1 - wy) * (1 - wx) + b * (1 - wy) * wx
-            + c * wy * (1 - wx) + d * wy * wx)
+    size = size[:, None]
+    pos = (np.arange(out_size) + 0.5) * (size / out_size) - 0.5
+    lo = np.clip(np.floor(pos).astype(np.int64), 0, size - 1)
+    hi = np.minimum(lo + 1, size - 1)
+    frac = np.clip(pos - lo, 0.0, 1.0)
+    return lo + start[:, None], hi + start[:, None], frac
 
 
 def augment_pair(img1, img2, params: AugmentParams, rng: np.random.Generator):
-    """One shared random crop + flip applied to both images of a pair.
+    """One shared random crop + flip per pair, applied to both images.
 
-    The crop area fraction is uniform in [crop_scale_min, crop_scale_max];
-    crop dimensions are rounded up, which keeps the realized area within
-    the sampled bounds, and follow the output aspect ratio. Both outputs
-    are float64 of shape (out_height, out_width).
+    img1, img2: a batch of pairs, (N, 1, H, W) each; a 2-D (H, W) pair is a
+    batch of one. Per row, in row order, the crop area fraction is drawn
+    uniform in [crop_scale_min, crop_scale_max], then the crop's top and
+    left corner, then the flip. Crop dimensions are rounded up, which keeps
+    the realized area within the sampled bounds, and follow the output
+    aspect ratio. Each crop is resized to the output size by
+    half-pixel-centred bilinear sampling with edge clamping, which is the
+    identity when crop and output sizes agree. Outputs are float64 and keep
+    the leading dimensions of the inputs.
     """
     img1 = np.asarray(img1, dtype=np.float64)
     img2 = np.asarray(img2, dtype=np.float64)
     if img1.shape != img2.shape:
         raise ConfigError(f"pair images differ in shape: {img1.shape} vs {img2.shape}")
-    h, w = img1.shape
-    scale = rng.uniform(params.crop_scale_min, params.crop_scale_max)
-    area = scale * h * w
-    aspect = params.out_width / params.out_height
-    crop_h = min(h, math.ceil(math.sqrt(area / aspect)))
-    crop_w = min(w, math.ceil(math.sqrt(area * aspect)))
-    top = int(rng.integers(0, h - crop_h + 1))
-    left = int(rng.integers(0, w - crop_w + 1))
-    flip = rng.random() < params.hflip_prob
+    h, w = img1.shape[-2:]
+    n = img1.size // (h * w)
+    out_h, out_w = params.out_height, params.out_width
+    aspect = out_w / out_h
+    draws = np.empty((4, n), dtype=np.int64)       # crop_h, crop_w, top, left
+    flip = np.empty(n, dtype=bool)
+    for row in range(n):
+        area = rng.uniform(params.crop_scale_min, params.crop_scale_max) * h * w
+        crop_h = min(h, math.ceil(math.sqrt(area / aspect)))
+        crop_w = min(w, math.ceil(math.sqrt(area * aspect)))
+        top = int(rng.integers(0, h - crop_h + 1))
+        left = int(rng.integers(0, w - crop_w + 1))
+        draws[:, row] = crop_h, crop_w, top, left
+        flip[row] = rng.random() < params.hflip_prob
+    crop_h, crop_w, top, left = draws
 
-    def apply(img):
-        crop = img[top:top + crop_h, left:left + crop_w]
-        out = bilinear_resize(crop, params.out_height, params.out_width)
-        return out[:, ::-1].copy() if flip else out
+    y0, y1, wy = _crop_axis(top, crop_h, out_h)
+    # a flipped row samples its columns right to left
+    x0, x1, wx = (np.where(flip[:, None], v[:, ::-1], v)
+                  for v in _crop_axis(left, crop_w, out_w))
+    # flat source index of every output pixel, one array per bilinear corner
+    rows = (np.arange(n) * h)[:, None, None]
+    corners = [(rows + ys[:, :, None]) * w + xs[:, None, :]
+               for ys in (y0, y1) for xs in (x0, x1)]
+    wy = wy[:, :, None]
+    wx = wx[:, None, :]
+    shape = img1.shape[:-2] + (out_h, out_w)
 
-    return apply(img1), apply(img2)
+    def resample(img):
+        a, b, c, d = (img.take(idx) for idx in corners)
+        out = (a * (1 - wy) * (1 - wx) + b * (1 - wy) * wx
+               + c * wy * (1 - wx) + d * wy * wx)
+        return out.reshape(shape)
+
+    return resample(img1), resample(img2)
 
 
 # ---------------------------------------------------------------------------

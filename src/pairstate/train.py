@@ -73,11 +73,7 @@ def _augmented_batch(dataset: Dataset, indices, params: AugmentParams | None,
     x1, x2 = dataset.pair_batch(indices)
     if params is None:
         return x1, x2
-    for row in range(x1.shape[0]):
-        a1, a2 = augment_pair(x1[row, 0], x2[row, 0], params, rng)
-        x1[row, 0] = a1
-        x2[row, 0] = a2
-    return x1, x2
+    return augment_pair(x1, x2, params, rng)
 
 
 def _chunks(seq, size):

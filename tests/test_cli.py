@@ -152,6 +152,18 @@ def test_train_bad_manifest_io_error(tmp_path):
                "--out", tmp_path / "x") == 3
 
 
+def test_train_negative_pair_id_io_error(gen_dir, tmp_path):
+    lines = (gen_dir / "manifest.jsonl").read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["pair_id"] = -1
+    (tmp_path / "manifest.jsonl").write_text(
+        "\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    (tmp_path / "images").symlink_to(gen_dir / "images")
+    assert run("train", "--data", tmp_path / "manifest.jsonl",
+               "--out", tmp_path / "x") == 3
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The benchmark tracer (perfbench/spans.py) patches pairstate attributes by
-name: every target must exist in its owner's own namespace, and every patch
-must come undone."""
+"""The benchmark (perfbench/) against the program it measures: the tracer
+(spans.py) patches pairstate attributes by name, so every target must exist
+in its owner's own namespace and every patch must come undone; the training
+workload must train the fold that `pairstate train` trains."""
 
 from pathlib import Path
 
@@ -25,3 +26,15 @@ def test_tracer_installs_every_target_and_restores_it(monkeypatch):
         tracer.uninstall()
     for (owner, attr), value in originals.items():
         assert owner.__dict__[attr] is value, f"{owner}.{attr} not restored"
+
+
+def test_benchmark_trains_the_fold_that_pairstate_train_trains(monkeypatch):
+    # the training workload seeds fold 0 with its own copy of the fold-seed
+    # derivation; it must agree with train.fold_configs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from pairstate import train
+    import workloads
+
+    for seed in (0, 1, 11, 101, 201, 2 ** 31 - 1):
+        expected = train.fold_configs(train.TrainConfig(seed=seed), workloads.N_FOLDS)[0]
+        assert workloads._fold_seed(seed) == expected.seed

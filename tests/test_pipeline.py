@@ -8,8 +8,10 @@ import pytest
 from pairstate import synthgen
 from pairstate.errors import ConfigError, DataError
 from pairstate.pipeline import (AugmentParams, augment_pair, balanced_sampler,
-                                bilinear_resize, class_weights, load_dataset,
-                                split_patientwise, SplitPlan)
+                                class_weights, load_dataset, split_patientwise,
+                                SplitPlan)
+
+from helpers import per_image_augment_pair
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,45 @@ def test_malformed_jsonl_line(tmp_path):
         load_dataset(manifest)
 
 
+def _rewrite_pair_ids(manifest, ids):
+    lines = manifest.read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    for rec, pid in zip(recs, ids):
+        rec["pair_id"] = pid
+    manifest.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+
+
+@pytest.mark.parametrize("row, pair_id, match", [
+    (0, -1, "pair_id -1 outside"),
+    (3, 1, "duplicate pair_id 1"),
+    (2, 10 ** 12, "pair_id 1000000000000 outside"),
+    (-1, None, "outside"),           # None: the record count, one too large
+])
+def test_bad_pair_ids_rejected(tmp_path, row, pair_id, match):
+    # a negative id would index the slope table from its end, a duplicate
+    # would share one slope, a huge one would allocate a huge table
+    config = synthgen.CohortConfig(n_patients=2, visits_per_patient=3,
+                                   scans_per_volume=2, image_height=16,
+                                   image_width=16, seed=0)
+    manifest = synthgen.write_dataset(synthgen.gen_cohort(config), tmp_path)
+    ids = list(range(len(manifest.read_text().splitlines())))
+    ids[row] = len(ids) if pair_id is None else pair_id
+    _rewrite_pair_ids(manifest, ids)
+    with pytest.raises(DataError, match=match):
+        load_dataset(manifest)
+
+
+def test_permuted_pair_ids_accepted(tmp_path):
+    config = synthgen.CohortConfig(n_patients=2, visits_per_patient=3,
+                                   scans_per_volume=2, image_height=16,
+                                   image_width=16, seed=0)
+    manifest = synthgen.write_dataset(synthgen.gen_cohort(config), tmp_path)
+    n = len(manifest.read_text().splitlines())
+    _rewrite_pair_ids(manifest, list(reversed(range(n))))
+    assert [p.pair_id for p in load_dataset(manifest).pairs] == \
+        list(reversed(range(n)))
+
+
 def test_pair_batch_normalized(dataset):
     x1, x2 = dataset.pair_batch([0, 1, 2])
     assert x1.shape == (3, 1, 16, 32)
@@ -150,8 +191,8 @@ def test_identity_augmentation_is_pure_resize():
     params = AugmentParams(out_height=16, out_width=32, crop_scale_min=1.0,
                            crop_scale_max=1.0, hflip_prob=0.0)
     a, b = augment_pair(img, img.copy(), params, rng)
-    assert np.allclose(a, img)
-    assert np.allclose(b, img)
+    assert np.array_equal(a, img)
+    assert np.array_equal(b, img)
 
 
 def test_same_transform_for_both_images():
@@ -198,10 +239,65 @@ def test_crop_areas_within_sampled_bounds():
 
 def test_bilinear_identity_and_range():
     img = np.random.default_rng(4).random((16, 32))
-    assert np.array_equal(bilinear_resize(img, 16, 32), img)
-    small = bilinear_resize(img, 8, 16)
+
+    def full_crop(out_h, out_w):
+        params = AugmentParams(out_height=out_h, out_width=out_w,
+                               crop_scale_min=1.0, hflip_prob=0.0)
+        return augment_pair(img, img, params, np.random.default_rng(0))[0]
+
+    assert np.array_equal(full_crop(16, 32), img)
+    small = full_crop(8, 16)
     assert small.shape == (8, 16)
     assert img.min() - 1e-12 <= small.min() and small.max() <= img.max() + 1e-12
+
+
+def _assert_matches_per_image(x1, x2, params, seed):
+    """The batched call equals the per-image loop bit for bit, and leaves the
+    generator in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    a1, a2 = augment_pair(x1, x2, params, rng)
+    assert a1.shape == a2.shape == (len(x1), 1, params.out_height, params.out_width)
+    for row in range(len(x1)):
+        r1, r2 = per_image_augment_pair(x1[row, 0], x2[row, 0], params, ref_rng)
+        assert np.array_equal(a1[row, 0], r1)
+        assert np.array_equal(a2[row, 0], r2)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("crop_min, crop_max, hflip", [
+    (0.2, 1.0, 0.5),      # the training defaults
+    (0.2, 1.0, 0.0),
+    (0.2, 1.0, 1.0),
+    (1.0, 1.0, 0.0),      # full crop: the resize is the identity
+    (1.0, 1.0, 1.0),
+    (0.05, 0.3, 0.5),     # small crops, upsampled
+])
+def test_batched_augment_matches_per_image(crop_min, crop_max, hflip):
+    gen = np.random.default_rng(5)
+    x1, x2 = gen.random((2, 24, 1, 16, 32))
+    params = AugmentParams(out_height=16, out_width=32, crop_scale_min=crop_min,
+                           crop_scale_max=crop_max, hflip_prob=hflip)
+    for seed in range(3):
+        _assert_matches_per_image(x1, x2, params, seed)
+
+
+def test_batched_augment_matches_per_image_on_resize_and_images(dataset):
+    # quantized pixel values from real images, and output sizes that differ
+    # from the input size and aspect ratio
+    x1, x2 = dataset.pair_batch(list(range(12)))
+    for out_h, out_w in ((16, 32), (8, 16), (12, 20), (20, 40)):
+        _assert_matches_per_image(x1, x2, AugmentParams(out_height=out_h,
+                                                        out_width=out_w), out_h)
+
+
+def test_single_pair_is_batch_of_one():
+    img1, img2 = np.random.default_rng(6).random((2, 16, 32))
+    params = AugmentParams(out_height=8, out_width=16)
+    a1, a2 = augment_pair(img1, img2, params, np.random.default_rng(7))
+    b1, b2 = augment_pair(img1[None, None], img2[None, None], params,
+                          np.random.default_rng(7))
+    assert a1.shape == (8, 16)
+    assert np.array_equal(a1, b1[0, 0]) and np.array_equal(a2, b2[0, 0])
 
 
 def test_augment_shape_mismatch():
