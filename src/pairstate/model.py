@@ -14,7 +14,8 @@ import json
 import numpy as np
 
 from . import objective
-from .nn import ConvEncoder, EncoderConfig, sigmoid
+from .errors import DataError
+from .nn import ConvEncoder, EncoderConfig, Workspace, sigmoid
 
 LN2 = float(np.log(2.0))
 
@@ -95,6 +96,23 @@ def _as_batch(image):
     return image, False
 
 
+def _init_heads(shapes, rng):
+    # weights ~ N(0, 1/fan_in), drawn in the order of `shapes`; zero biases
+    return {name: rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape)
+            if name.endswith(".w") else np.zeros(shape)
+            for name, shape in shapes.items()}
+
+
+def _encode_pairs(encoder, img1, img2, ws):
+    """Training forward pass over the first images, then the second, of a
+    batch of pairs. The stacked float64 batch is written once, into the
+    workspace (a fresh one when ws is None). Returns (features, cache)."""
+    ws = Workspace() if ws is None else ws
+    shape = (2 * img1.shape[0],) + img1.shape[1:]
+    stacked = np.concatenate([img1, img2], axis=0, out=ws.array("stacked", shape))
+    return encoder.forward(stacked, ws=ws)
+
+
 class SiameseModel:
     """Shared encoder plus two independent affine scalar heads."""
 
@@ -110,14 +128,13 @@ class SiameseModel:
     @staticmethod
     def init(config: EncoderConfig, rng: np.random.Generator) -> "SiameseModel":
         encoder = ConvEncoder.init(config, rng)
+        return SiameseModel(encoder, _init_heads(SiameseModel.head_shapes(config), rng))
+
+    @staticmethod
+    def head_shapes(config: EncoderConfig) -> dict:
         f = config.feature_dim
-        heads = {
-            "head_state.w": rng.normal(0.0, 1.0 / np.sqrt(f), size=f),
-            "head_state.b": np.zeros(1),
-            "head_other.w": rng.normal(0.0, 1.0 / np.sqrt(f), size=f),
-            "head_other.b": np.zeros(1),
-        }
-        return SiameseModel(encoder, heads)
+        return {"head_state.w": (f,), "head_state.b": (1,),
+                "head_other.w": (f,), "head_other.b": (1,)}
 
     @property
     def config(self) -> EncoderConfig:
@@ -180,21 +197,22 @@ class SiameseModel:
     # -- training-time loss and gradients ------------------------------------
 
     def loss_and_grads(self, img1, img2, y_state, state_mask, y_other,
-                       alpha_batch, lam, alpha_size=0, pair_ids=None):
+                       alpha_batch, lam, alpha_size=0, pair_ids=None, *,
+                       ws=None):
         """Mean pair loss over a batch and gradients for every parameter.
 
         y_state: (N,) soft progression targets (ignored where state_mask is
         False); y_other: (N,) binary; alpha_batch: (N,) slope exponents for
         these pairs. When pair_ids is given, returns a dense alpha gradient
-        of length alpha_size under grads["alpha"].
+        of length alpha_size under grads["alpha"]. ws: the nn.Workspace the
+        encoder step writes into; a fresh one when None.
 
         The loss value is objective.loss_parts on the batch's progression
         and ungradability probabilities; gradients are the exact
         (unclamped) BCE gradients.
         """
         n = img1.shape[0]
-        stacked = np.concatenate([img1, img2], axis=0).astype(np.float64)
-        feat, cache = self.encoder.forward(stacked)
+        feat, cache = _encode_pairs(self.encoder, img1, img2, ws)
         z_state, z_other = self._heads(feat)
         z1, z2 = z_state[:n], z_state[n:]
         delta = z1 - z2
@@ -252,12 +270,11 @@ class NaiveModel:
     @staticmethod
     def init(config: EncoderConfig, rng: np.random.Generator) -> "NaiveModel":
         encoder = ConvEncoder.init(config, rng)
-        f = config.feature_dim
-        heads = {
-            "head_cls.w": rng.normal(0.0, 1.0 / np.sqrt(2 * f), size=(4, 2 * f)),
-            "head_cls.b": np.zeros(4),
-        }
-        return NaiveModel(encoder, heads)
+        return NaiveModel(encoder, _init_heads(NaiveModel.head_shapes(config), rng))
+
+    @staticmethod
+    def head_shapes(config: EncoderConfig) -> dict:
+        return {"head_cls.w": (4, 2 * config.feature_dim), "head_cls.b": (4,)}
 
     @property
     def config(self) -> EncoderConfig:
@@ -291,11 +308,11 @@ class NaiveModel:
         rows = self.embed(np.concatenate([img1, img2], axis=0))
         return self.pair_head(rows[:n], rows[n:])
 
-    def loss_and_grads(self, img1, img2, class_index):
-        """Mean categorical cross-entropy and parameter gradients."""
+    def loss_and_grads(self, img1, img2, class_index, *, ws=None):
+        """Mean categorical cross-entropy and parameter gradients; ws as for
+        SiameseModel.loss_and_grads."""
         n = img1.shape[0]
-        stacked = np.concatenate([img1, img2], axis=0).astype(np.float64)
-        feat, cache = self.encoder.forward(stacked)
+        feat, cache = _encode_pairs(self.encoder, img1, img2, ws)
         both = np.concatenate([feat[:n], feat[n:]], axis=1)
         logits = both @ self.params["head_cls.w"].T + self.params["head_cls.b"]
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -340,19 +357,39 @@ def save_checkpoint(path, model, alpha_table: AlphaTable | None = None,
 
 
 def load_checkpoint(path):
-    """Returns (model, alpha_table_or_None, meta dict)."""
+    """Returns (model, alpha_table_or_None, meta dict).
+
+    Raises DataError for an unsupported format version or model kind, and
+    for parameters whose names or shapes disagree with the stored encoder
+    config.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported checkpoint version {meta.get('format_version')}")
+            raise DataError(
+                f"{path}: unsupported checkpoint version {meta.get('format_version')!r}")
         params = {k[len("param/"):]: data[k] for k in data.files
                   if k.startswith("param/")}
         alpha = AlphaTable(data["alpha"]) if "alpha" in data.files else None
-    config = EncoderConfig.from_dict(meta["encoder"])
-    enc_params = {k: v for k, v in params.items()
-                  if k.startswith("conv") or k.startswith("feat.")}
-    head_params = {k: v for k, v in params.items() if k.startswith("head")}
-    encoder = ConvEncoder(config, enc_params)
-    cls = {"siamese": SiameseModel, "naive": NaiveModel}[meta["kind"]]
-    return cls(encoder, head_params), alpha, meta
+    cls = {"siamese": SiameseModel, "naive": NaiveModel}.get(meta.get("kind"))
+    if cls is None:
+        raise DataError(f"{path}: unknown model kind {meta.get('kind')!r}")
+    try:
+        config = EncoderConfig.from_dict(meta["encoder"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: invalid encoder config: {e}") from e
+    enc_shapes = ConvEncoder.param_shapes(config)
+    expected = {**enc_shapes, **cls.head_shapes(config)}
+    missing = sorted(expected.keys() - params.keys())
+    unexpected = sorted(params.keys() - expected.keys())
+    if missing or unexpected:
+        raise DataError(f"{path}: parameters do not match a {meta['kind']} model: "
+                        f"missing {missing}, unexpected {unexpected}")
+    wrong = [f"{k} {params[k].shape} (config wants {shape})"
+             for k, shape in expected.items() if params[k].shape != shape]
+    if wrong:
+        raise DataError(f"{path}: parameter shapes disagree with the encoder "
+                        f"config: {', '.join(wrong)}")
+    encoder = ConvEncoder(config, {k: params[k] for k in enc_shapes})
+    heads = {k: v for k, v in params.items() if k not in enc_shapes}
+    return cls(encoder, heads), alpha, meta

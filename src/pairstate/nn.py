@@ -14,6 +14,16 @@ it. 2x2 max pooling works on the four stride-2 quadrant slices of its
 input: the forward is their elementwise maximum, and the backward counts
 each window's ties as the sum of four equality masks and writes each
 quadrant's share into one output array.
+
+Every layer function writes its results with `out=` into arrays from one
+helper, `_buffer`. Given a `Workspace` (the trailing `ws=` keyword), the
+helper returns that workspace's array for the layer and role, so a
+training loop that keeps one workspace for an epoch's steps writes every
+step into the same memory instead of faulting fresh pages in. Without a
+workspace it returns a fresh array. `ConvEncoder.forward` keeps the
+backward cache only when it is given a workspace; inference passes keep
+none, and each block's patches, conv output, ReLU mask and pool input are
+freed before the next block allocates its own.
 """
 
 from __future__ import annotations
@@ -36,10 +46,71 @@ def sigmoid(x):
 
 
 # ---------------------------------------------------------------------------
+# buffers
+# ---------------------------------------------------------------------------
+
+class Workspace:
+    """Reusable arrays for training steps, one per (role, layer).
+
+    `array` returns the stored array for a key and replaces it when the
+    requested shape or dtype differs, so a run of same-sized batches
+    writes into the same memory step after step. Padded buffers are
+    allocated zeroed and only their interior is ever written, so their
+    border stays zero.
+
+    `generation` counts the forward passes run on the workspace. A
+    backward cache records the generation of the forward pass that made
+    it, and `ConvEncoder.backward` refuses a cache whose buffers a later
+    forward pass has overwritten.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+        self.generation = 0
+
+    def array(self, key, shape, dtype=np.float64, zeroed=False):
+        arr = self._arrays.get(key)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = _buffer(None, key, shape, dtype, zeroed)
+            self._arrays[key] = arr
+        return arr
+
+    def layer(self, index):
+        """The buffers of one conv block, keyed by role."""
+        return _LayerBuffers(self, index)
+
+
+class _LayerBuffers:
+    __slots__ = ("workspace", "index")
+
+    def __init__(self, workspace, index):
+        self.workspace = workspace
+        self.index = index
+
+    def array(self, role, shape, dtype=np.float64, zeroed=False):
+        return self.workspace.array((role, self.index), shape, dtype, zeroed)
+
+
+def _buffer(ws, role, shape, dtype=np.float64, zeroed=False):
+    """Output array of one layer role: the workspace's, or a fresh one."""
+    if ws is not None:
+        return ws.array(role, shape, dtype, zeroed)
+    return np.zeros(shape, dtype) if zeroed else np.empty(shape, dtype)
+
+
+def _padded(x, ws, role):
+    # x with a one-pixel zero border; only the interior is written
+    n, h, w, c = x.shape
+    xp = _buffer(ws, role, (n, h + 2, w + 2, c), zeroed=True)
+    xp[:, 1:-1, 1:-1] = x
+    return xp
+
+
+# ---------------------------------------------------------------------------
 # layers (channels-last)
 # ---------------------------------------------------------------------------
 
-def _im2col(xp, oh, ow):
+def _im2col(xp, oh, ow, *, ws=None, role="cols"):
     """Padded (N, H+2, W+2, C) -> patch matrix (N*OH*OW, 9C).
 
     Patch columns are offset-major: block k = (dy*3 + dx) holds the C
@@ -48,7 +119,9 @@ def _im2col(xp, oh, ow):
     """
     n, _, _, c = xp.shape
     win = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, :oh, :ow]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, 9 * c)
+    cols = _buffer(ws, role, (n * oh * ow, 9 * c))
+    cols.reshape(n, oh, ow, 3, 3, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
+    return cols
 
 
 def _kernel_matrix(weight):
@@ -63,7 +136,7 @@ def _kernel_matrix_transposed(weight):
     return weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * cout, cin)
 
 
-def conv3x3_forward(x, weight, bias):
+def conv3x3_forward(x, weight, bias, *, ws=None):
     """Same-size 3x3 convolution (stride 1, zero padding 1).
 
     x: (N, H, W, Cin), weight: (Cout, Cin, 3, 3), bias: (Cout,).
@@ -71,14 +144,14 @@ def conv3x3_forward(x, weight, bias):
     """
     n, h, w, _ = x.shape
     cout = weight.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = _im2col(xp, h, w)
-    out = cols @ _kernel_matrix(weight)
+    cols = _im2col(_padded(x, ws, "xp"), h, w, ws=ws)
+    out = np.matmul(cols, _kernel_matrix(weight),
+                    out=_buffer(ws, "conv", (n * h * w, cout)))
     out += bias
     return out.reshape(n, h, w, cout), cols
 
 
-def conv3x3_backward(dout, cols, weight, need_dx=True):
+def conv3x3_backward(dout, cols, weight, need_dx=True, *, ws=None):
     """Gradients of conv3x3_forward. Returns (dx, dweight, dbias).
 
     dx is None when need_dx is False (saves the largest copy+matmul for
@@ -94,19 +167,21 @@ def conv3x3_backward(dout, cols, weight, need_dx=True):
     if need_dx:
         # input gradient == same-size conv of dout with the flipped,
         # in/out-swapped kernel
-        dp = np.pad(dout, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        dx = (_im2col(dp, h, w) @ _kernel_matrix_transposed(weight)
-              ).reshape(n, h, w, cin)
+        dcols = _im2col(_padded(dout, ws, "dout_padded"), h, w, ws=ws,
+                        role="dout_cols")
+        dx = np.matmul(dcols, _kernel_matrix_transposed(weight),
+                       out=_buffer(ws, "dx", (n * h * w, cin))
+                       ).reshape(n, h, w, cin)
     return dx, dweight, dbias
 
 
-def relu_forward(x):
-    out = np.maximum(x, 0.0)
-    return out, x > 0
+def relu_forward(x, *, ws=None):
+    out = np.maximum(x, 0.0, out=_buffer(ws, "relu", x.shape))
+    return out, np.greater(x, 0, out=_buffer(ws, "relu_mask", x.shape, bool))
 
 
-def relu_backward(dout, mask):
-    return dout * mask
+def relu_backward(dout, mask, *, ws=None):
+    return np.multiply(dout, mask, out=_buffer(ws, "relu_grad", mask.shape))
 
 
 def _quadrants(x):
@@ -114,25 +189,31 @@ def _quadrants(x):
     return [x[:, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
 
 
-def maxpool2_forward(x):
+def maxpool2_forward(x, *, ws=None):
     """2x2 max pooling, stride 2, channels-last. H and W must be even."""
     q = _quadrants(x)
-    out = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    out = np.maximum(q[0], q[1], out=_buffer(ws, "pool", q[0].shape))
+    np.maximum(out, np.maximum(q[2], q[3],
+                               out=_buffer(ws, "pool_right", q[0].shape)),
+               out=out)
     return out, (x, out)
 
 
-def maxpool2_backward(dout, cache):
+def maxpool2_backward(dout, cache, *, ws=None):
     # The window gradient is split evenly across every entry equal to the
     # max. Ties are not measure-zero here: a dead-ReLU patch makes a whole
     # window equal the conv bias, and those tied entries shift identically
     # under any parameter change, so the even split is the exact gradient.
     x, out = cache
-    masks = [q == out for q in _quadrants(x)]
-    ties = masks[0].astype(np.int8)
+    masks = _buffer(ws, "pool_masks", (4,) + out.shape, bool)
+    for q, mask in zip(_quadrants(x), masks):
+        np.equal(q, out, out=mask)
+    ties = _buffer(ws, "pool_ties", out.shape, np.int8)
+    ties[...] = masks[0]
     for mask in masks[1:]:
         ties += mask
-    g = dout / ties
-    dx = np.empty(x.shape)
+    g = np.divide(dout, ties, out=_buffer(ws, "pool_share", out.shape))
+    dx = _buffer(ws, "pool_grad", x.shape)
     for mask, dq in zip(masks, _quadrants(dx)):
         np.multiply(mask, g, out=dq)
     return dx
@@ -197,17 +278,26 @@ class ConvEncoder:
         """He-normal weights; biases at 0.01 so dead-input patches do not
         sit exactly on the ReLU kink (keeps finite differences clean)."""
         params = {}
+        for name, shape in ConvEncoder.param_shapes(config).items():
+            if name.endswith(".b"):
+                params[name] = np.full(shape, 0.01)
+            else:
+                fan_in = int(np.prod(shape[1:]))
+                params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        return ConvEncoder(config, params)
+
+    @staticmethod
+    def param_shapes(config: EncoderConfig) -> dict:
+        """Name -> shape of every encoder parameter, in initialisation order."""
+        shapes = {}
         cin = 1
         for i, cout in enumerate(config.conv_widths):
-            fan_in = cin * 9
-            params[f"conv{i}.w"] = rng.normal(
-                0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, 3, 3))
-            params[f"conv{i}.b"] = np.full(cout, 0.01)
+            shapes[f"conv{i}.w"] = (cout, cin, 3, 3)
+            shapes[f"conv{i}.b"] = (cout,)
             cin = cout
-        params["feat.w"] = rng.normal(
-            0.0, np.sqrt(2.0 / cin), size=(config.feature_dim, cin))
-        params["feat.b"] = np.full(config.feature_dim, 0.01)
-        return ConvEncoder(config, params)
+        shapes["feat.w"] = (config.feature_dim, cin)
+        shapes["feat.b"] = (config.feature_dim,)
+        return shapes
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -219,26 +309,52 @@ class ConvEncoder:
                 f"expected images of shape (N, 1, {cfg.in_height}, {cfg.in_width}), "
                 f"got {x.shape}")
 
-    def forward(self, x):
-        """x: (N, 1, H, W) float64 in [0, 1] -> (features (N, F), cache)."""
+    def forward(self, x, *, ws=None):
+        """x: (N, 1, H, W) float64 in [0, 1] -> (features (N, F), cache).
+
+        With a workspace, every block writes into the workspace's arrays
+        and the returned cache holds what backward needs; it stays valid
+        until the next forward pass on the same workspace. Without one the
+        cache is None, and each block's patches, conv output, ReLU mask and
+        pool input are freed before the next block allocates its own.
+        """
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
+        if ws is not None:
+            ws.generation += 1
         h = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
         blocks = []
         for i in range(len(self.config.conv_widths)):
+            lw = None if ws is None else ws.layer(i)
             z, cols = conv3x3_forward(h, self.params[f"conv{i}.w"],
-                                      self.params[f"conv{i}.b"])
-            a, relu_mask = relu_forward(z)
-            h, pool_cache = maxpool2_forward(a)
-            blocks.append((cols, relu_mask, pool_cache))
+                                      self.params[f"conv{i}.b"], ws=lw)
+            a, relu_mask = relu_forward(z, ws=lw)
+            h, pool_cache = maxpool2_forward(a, ws=lw)
+            if ws is not None:
+                blocks.append((cols, relu_mask, pool_cache))
+            # without a workspace nothing else holds these; free them before
+            # the next block allocates its own
+            del z, cols, a, relu_mask, pool_cache
         pooled = h.mean(axis=(1, 2))                      # global average pool
         pre = pooled @ self.params["feat.w"].T + self.params["feat.b"]
         feat, feat_mask = relu_forward(pre)
-        return feat, (blocks, h.shape, pooled, feat_mask)
+        if ws is None:
+            return feat, None
+        return feat, (ws, ws.generation, blocks, h.shape, pooled, feat_mask)
 
     def backward(self, dfeat, cache, grads):
-        """Accumulate parameter gradients into `grads` (dict name -> array)."""
-        blocks, hshape, pooled, feat_mask = cache
+        """Accumulate parameter gradients into `grads` (dict name -> array).
+
+        `cache` is what forward returned with a workspace; backward writes
+        its own buffers into the same workspace.
+        """
+        if cache is None:
+            raise ValueError("no backward cache: forward ran without a workspace")
+        ws, generation, blocks, hshape, pooled, feat_mask = cache
+        if ws.generation != generation:
+            raise RuntimeError(
+                f"stale backward cache: made by forward pass {generation}, but "
+                f"forward pass {ws.generation} has reused its workspace")
         dpre = relu_backward(dfeat, feat_mask)
         grads["feat.w"] += dpre.T @ pooled
         grads["feat.b"] += dpre.sum(axis=0)
@@ -246,11 +362,12 @@ class ConvEncoder:
         n, ph, pw, c = hshape
         dh = np.broadcast_to(dpool[:, None, None, :] / (ph * pw), hshape)
         for i in range(len(blocks) - 1, -1, -1):
+            lw = ws.layer(i)
             cols, relu_mask, pool_cache = blocks[i]
-            da = maxpool2_backward(dh, pool_cache)
-            dz = relu_backward(da, relu_mask)
+            da = maxpool2_backward(dh, pool_cache, ws=lw)
+            dz = relu_backward(da, relu_mask, ws=lw)
             dh, dw, db = conv3x3_backward(
-                dz, cols, self.params[f"conv{i}.w"], need_dx=i > 0)
+                dz, cols, self.params[f"conv{i}.w"], need_dx=i > 0, ws=lw)
             grads[f"conv{i}.w"] += dw
             grads[f"conv{i}.b"] += db
         return None

@@ -95,7 +95,9 @@ class Dataset:
 def load_dataset(manifest_path) -> Dataset:
     """Parse a manifest, validate every referenced image, index by patient.
 
-    Every pair_id must be unique and lie in [0, number of records).
+    Every pair_id must be unique and lie in [0, number of records). Both
+    labels must be in labels.LABELS, and corrupted_flags must hold one flag
+    per image.
 
     Raster sizes may differ between files; the dataset presents every image
     zero-padded to the maximum dimensions.
@@ -117,15 +119,20 @@ def load_dataset(manifest_path) -> Dataset:
             missing = [k for k in MANIFEST_FIELDS if k not in rec]
             if missing:
                 raise DataError(f"record {i}: missing fields {missing}")
-            if rec["label"] not in labels.LABELS:
-                raise DataError(f"record {i}: unknown label {rec['label']!r}")
+            for key in ("label", "clean_label"):
+                if rec[key] not in labels.LABELS:
+                    raise DataError(f"record {i}: unknown {key} {rec[key]!r}")
+            flags = rec["corrupted_flags"]
+            if not isinstance(flags, list) or len(flags) != 2:
+                raise DataError(f"record {i}: corrupted_flags must be a list of "
+                                f"2 flags, one per image, got {flags!r}")
             pairs.append(PairSample(
                 pair_id=int(rec["pair_id"]), img1=rec["img1"], img2=rec["img2"],
                 label=rec["label"], clean_label=rec["clean_label"],
                 patient_id=int(rec["patient_id"]),
                 visit_from=int(rec["visit_from"]), visit_to=int(rec["visit_to"]),
                 scan_index=int(rec["scan_index"]),
-                corrupted_flags=tuple(bool(x) for x in rec["corrupted_flags"]),
+                corrupted_flags=tuple(bool(x) for x in flags),
             ))
     if not pairs:
         raise DataError(f"{manifest_path}: empty manifest")

@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluate, labels, objective
 from .errors import ConfigError, TrainingDiverged
 from .model import AlphaTable, NaiveModel, SiameseModel
-from .nn import EncoderConfig
+from .nn import EncoderConfig, Workspace
 from .optim import AdamW
 from .pipeline import AugmentParams, Dataset, FoldSpec, augment_pair, \
     balanced_sampler, split_patientwise
@@ -156,6 +156,9 @@ def train_fold(dataset: Dataset, fold: FoldSpec, config: TrainConfig,
             sampled_counts[lbl] += 1
 
         sums = {"loss": 0.0, "bce_state": 0.0, "bce_other": 0.0, "reg": 0.0}
+        # the steps' buffers live for this epoch's steps, not through
+        # validation, whose forward passes keep no backward cache
+        ws = Workspace()
         for step, batch_idx in enumerate(_chunks(epoch_pairs, config.batch_size)):
             x1, x2 = _augmented_batch(dataset, batch_idx, aug, augment_rng)
             batch_labels = dataset.labels_of(batch_idx)
@@ -167,15 +170,16 @@ def train_fold(dataset: Dataset, fold: FoldSpec, config: TrainConfig,
                 parts, grads = model.loss_and_grads(
                     x1, x2, y_state, mask, y_other, alpha_batch,
                     config.lam if learn_alpha else 0.0,
-                    alpha_size=table_size, pair_ids=pair_ids)
+                    alpha_size=table_size, pair_ids=pair_ids, ws=ws)
             else:
                 class_idx = np.array([labels.LABEL_TO_INDEX[l] for l in batch_labels])
-                parts, grads = model.loss_and_grads(x1, x2, class_idx)
+                parts, grads = model.loss_and_grads(x1, x2, class_idx, ws=ws)
             if not np.isfinite(parts["loss"]):
                 raise TrainingDiverged(epoch, step, parts["loss"])
             opt.step(grads)
             for key in sums:
                 sums[key] += parts.get(key, 0.0) * len(batch_idx)
+        del ws
 
         if kind == "siamese":
             val = _siamese_val_loss(model, dataset, val_idx)

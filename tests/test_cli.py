@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pairstate.cli import main
+from pairstate.model import load_checkpoint, save_checkpoint
 from pairstate.pipeline import load_dataset
 
 
@@ -164,6 +165,18 @@ def test_train_negative_pair_id_io_error(gen_dir, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_train_bad_clean_label_io_error(gen_dir, tmp_path):
+    lines = (gen_dir / "manifest.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["clean_label"] = "IMPROVED"
+    (tmp_path / "manifest.jsonl").write_text(
+        "\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
+    (tmp_path / "images").symlink_to(gen_dir / "images")
+    assert run("train", "--data", tmp_path / "manifest.jsonl",
+               "--out", tmp_path / "x") == 3
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -311,3 +324,11 @@ def test_inspect_prints_metadata(train_dir, capsys):
     assert info["kind"] == "siamese"
     assert info["param_count"] > 0
     assert "gamma_mean" in info
+
+
+def test_inspect_unsupported_checkpoint_version_io_error(train_dir, tmp_path, capsys):
+    model, alpha, _ = load_checkpoint(train_dir / "fold0" / "checkpoint.npz")
+    path = tmp_path / "future.npz"
+    save_checkpoint(path, model, alpha_table=alpha, meta={"format_version": 2})
+    assert run("inspect", path) == 3
+    assert "unsupported checkpoint version 2" in capsys.readouterr().err

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairstate.errors import DataError
 from pairstate.model import (AlphaTable, NaiveModel, SiameseModel, gamma_of,
                              load_checkpoint, other_prob, pair_delta,
                              progression_prob, save_checkpoint)
-from pairstate.nn import ConvEncoder, EncoderConfig, sigmoid
+from pairstate.nn import ConvEncoder, EncoderConfig, Workspace, sigmoid
 
 TINY = EncoderConfig(in_height=16, in_width=16, conv_widths=(2, 3), feature_dim=6)
 
@@ -144,7 +145,7 @@ def test_encoder_gradient_matches_finite_differences():
         return float((feat @ model.params["head_state.w"])[0]
                      + model.params["head_state.b"][0])
 
-    feat, cache = model.encoder.forward(img)
+    feat, cache = model.encoder.forward(img, ws=Workspace())
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     model.encoder.backward(model.params["head_state.w"][None, :], cache, grads)
 
@@ -251,6 +252,50 @@ def test_naive_checkpoint_distinguishable(tmp_path):
                                  np.zeros((2, 1, 16, 16)))["probs"]
     assert probs.shape == (2, 4)
     assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+def _rejected(path, match):
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unsupported_version_rejected(tmp_path):
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, tiny_model(), meta={"format_version": 2})
+    _rejected(path, "unsupported checkpoint version 2")
+
+
+@pytest.mark.parametrize("kind", ["siamese", "naive"])
+def test_checkpoint_missing_or_unexpected_params_rejected(tmp_path, kind):
+    model = (SiameseModel if kind == "siamese" else NaiveModel).init(
+        TINY, np.random.default_rng(0))
+    head_b = next(k for k in model.params if k.startswith("head") and k.endswith(".b"))
+    del model.params[head_b]
+    save_checkpoint(tmp_path / "missing.npz", model)
+    _rejected(tmp_path / "missing.npz", rf"missing \['{head_b}'\], unexpected \[\]")
+    model.params[head_b] = np.zeros(1)
+    model.params["conv9.w"] = np.zeros((2, 2, 3, 3))
+    save_checkpoint(tmp_path / "extra.npz", model)
+    _rejected(tmp_path / "extra.npz", r"missing \[\], unexpected \['conv9.w'\]")
+
+
+def test_checkpoint_shapes_checked_against_encoder_config(tmp_path):
+    # the stored config says 4 feature units; the parameters were made for 6
+    other = EncoderConfig(in_height=16, in_width=16, conv_widths=(2, 3), feature_dim=4)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, tiny_model(), meta={"encoder": other.to_dict()})
+    _rejected(path, r"feat.w \(6, 3\) \(config wants \(4, 3\)\)")
+    # a wider first conv block changes the shapes of conv0 and conv1
+    other = EncoderConfig(in_height=16, in_width=16, conv_widths=(5, 3), feature_dim=6)
+    save_checkpoint(path, tiny_model(), meta={"encoder": other.to_dict()})
+    _rejected(path, r"conv0.w \(2, 1, 3, 3\) \(config wants \(5, 1, 3, 3\)\)")
+
+
+def test_param_shapes_match_init():
+    for cls in (SiameseModel, NaiveModel):
+        model = cls.init(TINY, np.random.default_rng(0))
+        shapes = {**ConvEncoder.param_shapes(TINY), **cls.head_shapes(TINY)}
+        assert {k: v.shape for k, v in model.params.items()} == shapes
 
 
 def test_encoder_shared_params_alias():

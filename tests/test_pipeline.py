@@ -117,6 +117,33 @@ def test_bad_pair_ids_rejected(tmp_path, row, pair_id, match):
         load_dataset(manifest)
 
 
+def _rewrite_record(manifest, row, **fields):
+    lines = manifest.read_text().splitlines()
+    rec = json.loads(lines[row])
+    rec.update(fields)
+    lines[row] = json.dumps(rec)
+    manifest.write_text("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"clean_label": "IMPROVED"}, "unknown clean_label 'IMPROVED'"),
+    ({"clean_label": None}, "unknown clean_label None"),
+    ({"corrupted_flags": [True]}, "corrupted_flags must be a list of 2"),
+    ({"corrupted_flags": [False, False, True]}, "corrupted_flags must be a list of 2"),
+    ({"corrupted_flags": 1}, "corrupted_flags must be a list of 2"),
+])
+def test_bad_clean_label_or_flags_rejected(tmp_path, fields, match):
+    # a clean label outside LABELS would break the noise report; a flag
+    # list of the wrong length does not describe the pair's two images
+    config = synthgen.CohortConfig(n_patients=2, visits_per_patient=3,
+                                   scans_per_volume=2, image_height=16,
+                                   image_width=16, seed=0)
+    manifest = synthgen.write_dataset(synthgen.gen_cohort(config), tmp_path)
+    _rewrite_record(manifest, 2, **fields)
+    with pytest.raises(DataError, match=f"record 2: {match}"):
+        load_dataset(manifest)
+
+
 def test_permuted_pair_ids_accepted(tmp_path):
     config = synthgen.CohortConfig(n_patients=2, visits_per_patient=3,
                                    scans_per_volume=2, image_height=16,
