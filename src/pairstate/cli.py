@@ -16,14 +16,13 @@ import functools
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate, labels, metrics, synthgen, train as train_mod
 from .errors import ConfigError, DataError, TrainingDiverged
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint
 from .nn import EncoderConfig
 from .pipeline import SplitPlan, load_dataset, split_patientwise
 
@@ -71,9 +70,15 @@ def _resolve(args, schema: dict) -> dict:
             file_cfg = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path}: invalid JSON: {e}") from e
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path}: expected a JSON object, "
+                              f"got {type(file_cfg).__name__}")
         unknown = sorted(set(file_cfg) - set(schema))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        wrong = {k: v for k, v in file_cfg.items() if not _fits(v, schema[k])}
+        if wrong:
+            raise ConfigError(f"config file {path}: wrong value types: {wrong}")
     resolved = {}
     for key, default in schema.items():
         flag_val = getattr(args, key, None)
@@ -84,6 +89,17 @@ def _resolve(args, schema: dict) -> dict:
         else:
             resolved[key] = default
     return resolved
+
+
+def _fits(value, default) -> bool:
+    """Whether a config file value has its schema default's type. An int
+    fits a float, a list or string fits conv_widths (the one tuple), and
+    anything fits None."""
+    if default is None:
+        return True
+    kind = {tuple: (list, str), float: (int, float)}.get(type(default),
+                                                         type(default))
+    return isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)
 
 
 def _require(cfg: dict, *keys) -> None:
@@ -146,27 +162,6 @@ TRAIN_SCHEMA = {
 }
 
 
-def _train_one_fold(manifest, plan_dict, fold_i, train_cfg_dict, enc_dict,
-                    kind, fold_dir):
-    """Worker for one fold; loads its own dataset so folds can run as
-    independent processes."""
-    dataset = load_dataset(manifest)
-    plan = SplitPlan.from_dict(plan_dict)
-    config = train_mod.TrainConfig(**train_cfg_dict)
-    result = train_mod.train_fold(dataset, plan.fold_spec(fold_i), config,
-                                  encoder_config=EncoderConfig.from_dict(enc_dict),
-                                  kind=kind)
-    fold_dir = Path(fold_dir)
-    fold_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(fold_dir / "checkpoint.npz", result.model,
-                    alpha_table=result.alpha_table,
-                    meta={"fold": fold_i, "best_epoch": result.best_epoch,
-                          "best_val_loss": result.best_val_loss,
-                          "train_config": config.to_dict()})
-    train_mod.write_history_csv(fold_dir / "history.csv", result.history)
-    return result.best_val_loss
-
-
 def cmd_train(args) -> int:
     cfg = _resolve(args, TRAIN_SCHEMA)
     _require(cfg, "data", "out")
@@ -187,17 +182,9 @@ def cmd_train(args) -> int:
         lam=cfg["lam"], weight_decay=cfg["weight_decay"], seed=cfg["seed"],
         noise_estimation=cfg["noise_estimation"], alpha_lr=cfg["alpha_lr"],
         augment=cfg["augment"])
-    jobs = [(str(manifest), plan.to_dict(), i, fold_cfg.to_dict(),
-             enc.to_dict(), kind, str(out / f"fold{i}"))
-            for i, fold_cfg in enumerate(train_mod.fold_configs(base, plan.n_folds))]
-
-    if cfg["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            losses = list(pool.map(_train_one_fold, *zip(*jobs)))
-    else:
-        losses = [_train_one_fold(*job) for job in jobs]
-
-    mean, std = train_mod.mean_std(losses)
+    losses = train_mod.run_folds(dataset, plan, base, out, encoder_config=enc,
+                                 kind=kind, jobs=cfg["jobs"])
+    mean, std = float(np.mean(losses)), float(np.std(losses))
     _write_json(out / "summary.json", {
         "model_kind": kind, "val_loss_per_fold": losses,
         "val_loss_mean": mean, "val_loss_std": std,

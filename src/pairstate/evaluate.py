@@ -53,8 +53,7 @@ def _gather(cache: dict, keys):
     return np.array([cache[k] for k in keys])
 
 
-def pair_scores(model, dataset: Dataset, indices, cache: dict | None = None,
-                flip_order: bool = False) -> dict:
+def pair_scores(model, dataset: Dataset, indices, cache: dict | None = None) -> dict:
     """Model outputs over dataset pairs, inference slope fixed at 1.
 
     Each image is encoded once into `cache` (see encode_images); pair
@@ -66,8 +65,6 @@ def pair_scores(model, dataset: Dataset, indices, cache: dict | None = None,
     """
     first = [dataset.pairs[i].img1 for i in indices]
     second = [dataset.pairs[i].img2 for i in indices]
-    if flip_order:
-        first, second = second, first
     cache = encode_images(model, dataset, first + second, cache)
     return model.pair_head(_gather(cache, first), _gather(cache, second))
 
@@ -105,20 +102,19 @@ class SeverityOracle:
 
 
 def export_delta_scatter(model, dataset: Dataset, indices=None,
-                         flip_order: bool = False, cache: dict | None = None) -> list:
+                         cache: dict | None = None) -> list:
     """Per-pair rows (pair_id, delta, prob_other, label, clean_label) for
     external plotting of the continuous progression scale.
 
-    `model` is a SiameseModel, scored through pair_scores with `cache` and
-    `flip_order`, or a SeverityOracle.
+    `model` is a SiameseModel, scored through pair_scores with `cache`, or
+    a SeverityOracle.
     """
     if indices is None:
         indices = np.arange(len(dataset))
     if isinstance(model, SeverityOracle):
         scores = model.scores_for(indices)
     else:
-        scores = pair_scores(model, dataset, indices, cache=cache,
-                             flip_order=flip_order)
+        scores = pair_scores(model, dataset, indices, cache=cache)
     rows = []
     for row, i in enumerate(indices):
         p = dataset.pairs[i]

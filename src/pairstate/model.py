@@ -10,6 +10,7 @@ merge of the two ungradability probabilities.
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 
@@ -25,11 +26,6 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------------------
 # pair arithmetic
 # ---------------------------------------------------------------------------
-
-def pair_delta(z_state_1, z_state_2):
-    """Difference of the two state logits; antisymmetric in the image order."""
-    return z_state_1 - z_state_2
-
 
 def gamma_of(alpha):
     """Per-pair sigmoid slope, gamma = 2**alpha (alpha = 0 -> gamma = 1)."""
@@ -113,10 +109,9 @@ def _encode_pairs(encoder, img1, img2, ws):
     return encoder.forward(stacked, ws=ws)
 
 
-class SiameseModel:
-    """Shared encoder plus two independent affine scalar heads."""
-
-    kind = "siamese"
+class _PairModel:
+    """The plumbing both pair models share: a ConvEncoder plus heads, with
+    every parameter in one flat dict."""
 
     def __init__(self, encoder: ConvEncoder, head_params: dict):
         self.encoder = encoder
@@ -124,6 +119,28 @@ class SiameseModel:
         # arrays are shared, not copied
         self.params = dict(encoder.params)
         self.params.update(head_params)
+
+    @property
+    def config(self) -> EncoderConfig:
+        return self.encoder.config
+
+    def param_count(self) -> int:
+        return sum(p.size for p in self.params.values())
+
+    def features(self, images):
+        """Penultimate feature vectors, (N, F)."""
+        batch, single = _as_batch(images)
+        feat, _ = self.encoder.forward(batch)
+        return feat[0] if single else feat
+
+
+class SiameseModel(_PairModel):
+    """Shared encoder plus two independent affine scalar heads."""
+
+    kind = "siamese"
+    # each model class holds its own `features`, which perfbench's tracer
+    # wraps under the class's name
+    features = _PairModel.features
 
     @staticmethod
     def init(config: EncoderConfig, rng: np.random.Generator) -> "SiameseModel":
@@ -136,20 +153,7 @@ class SiameseModel:
         return {"head_state.w": (f,), "head_state.b": (1,),
                 "head_other.w": (f,), "head_other.b": (1,)}
 
-    @property
-    def config(self) -> EncoderConfig:
-        return self.encoder.config
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     # -- forward ------------------------------------------------------------
-
-    def features(self, images):
-        """Penultimate feature vectors, (N, F)."""
-        batch, single = _as_batch(images)
-        feat, _ = self.encoder.forward(batch)
-        return feat[0] if single else feat
 
     def _heads(self, feat):
         z_state = feat @ self.params["head_state.w"] + self.params["head_state.b"][0]
@@ -177,7 +181,7 @@ class SiameseModel:
         """
         z1, o1 = rows1[:, 0], rows1[:, 1]
         z2, o2 = rows2[:, 0], rows2[:, 1]
-        delta = pair_delta(z1, z2)
+        delta = z1 - z2
         g = 1.0 if gamma is None else gamma
         return {
             "z_state_1": z1, "z_state_2": z2,
@@ -257,15 +261,11 @@ class SiameseModel:
         return parts, grads
 
 
-class NaiveModel:
+class NaiveModel(_PairModel):
     """4-way softmax comparator: one linear head on concatenated features."""
 
     kind = "naive"
-
-    def __init__(self, encoder: ConvEncoder, head_params: dict):
-        self.encoder = encoder
-        self.params = dict(encoder.params)
-        self.params.update(head_params)
+    features = _PairModel.features
 
     @staticmethod
     def init(config: EncoderConfig, rng: np.random.Generator) -> "NaiveModel":
@@ -275,18 +275,6 @@ class NaiveModel:
     @staticmethod
     def head_shapes(config: EncoderConfig) -> dict:
         return {"head_cls.w": (4, 2 * config.feature_dim), "head_cls.b": (4,)}
-
-    @property
-    def config(self) -> EncoderConfig:
-        return self.encoder.config
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def features(self, images):
-        batch, single = _as_batch(images)
-        feat, _ = self.encoder.forward(batch)
-        return feat[0] if single else feat
 
     def embed(self, images):
         """Per-image rows that pair_head reads: the feature vectors, (N, F)."""
@@ -333,6 +321,10 @@ class NaiveModel:
         return {"loss": float(loss)}, grads
 
 
+# model kind, as train_fold takes it and checkpoints store it -> class
+MODELS = {cls.kind: cls for cls in (SiameseModel, NaiveModel)}
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -359,19 +351,24 @@ def save_checkpoint(path, model, alpha_table: AlphaTable | None = None,
 def load_checkpoint(path):
     """Returns (model, alpha_table_or_None, meta dict).
 
-    Raises DataError for an unsupported format version or model kind, and
-    for parameters whose names or shapes disagree with the stored encoder
-    config.
+    Raises DataError for a file that is not an npz archive holding JSON
+    meta, an unsupported format version or model kind, and for parameters
+    whose names or shapes disagree with the stored encoder config.
     """
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise DataError(
-                f"{path}: unsupported checkpoint version {meta.get('format_version')!r}")
-        params = {k[len("param/"):]: data[k] for k in data.files
-                  if k.startswith("param/")}
-        alpha = AlphaTable(data["alpha"]) if "alpha" in data.files else None
-    cls = {"siamese": SiameseModel, "naive": NaiveModel}.get(meta.get("kind"))
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            params = {k[len("param/"):]: data[k] for k in data.files
+                      if k.startswith("param/")}
+            alpha = AlphaTable(data["alpha"]) if "alpha" in data.files else None
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
+        raise DataError(f"{path}: not a readable checkpoint: {e}") from e
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint meta is not a JSON object")
+    if meta.get("format_version") != CHECKPOINT_VERSION:
+        raise DataError(
+            f"{path}: unsupported checkpoint version {meta.get('format_version')!r}")
+    cls = MODELS.get(meta.get("kind"))
     if cls is None:
         raise DataError(f"{path}: unknown model kind {meta.get('kind')!r}")
     try:

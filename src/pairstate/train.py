@@ -10,23 +10,31 @@ lowest validation loss.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import evaluate, labels, objective
 from .errors import ConfigError, TrainingDiverged
-from .model import AlphaTable, NaiveModel, SiameseModel
+from .model import MODELS, AlphaTable, NaiveModel, SiameseModel, save_checkpoint
 from .nn import EncoderConfig, Workspace
 from .optim import AdamW
-from .pipeline import AugmentParams, Dataset, FoldSpec, augment_pair, \
-    balanced_sampler, split_patientwise
+from .pipeline import AugmentParams, Dataset, FoldSpec, SplitPlan, augment_pair, \
+    balanced_sampler
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "train_bce_state", "train_bce_other",
                    "train_reg", "val_loss", "val_bce_state", "val_bce_other",
                    "sampled_better", "sampled_stable", "sampled_worse",
                    "sampled_other")
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -59,26 +67,11 @@ class TrainConfig:
 
 @dataclass
 class FoldResult:
-    fold: int
     model: object                 # SiameseModel or NaiveModel, best-epoch state
     alpha_table: AlphaTable | None
     history: list                 # one dict per epoch, HISTORY_COLUMNS keys
     best_epoch: int
     best_val_loss: float
-    config: TrainConfig
-
-
-def _augmented_batch(dataset: Dataset, indices, params: AugmentParams | None,
-                     rng: np.random.Generator):
-    x1, x2 = dataset.pair_batch(indices)
-    if params is None:
-        return x1, x2
-    return augment_pair(x1, x2, params, rng)
-
-
-def _chunks(seq, size):
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]
 
 
 def _siamese_val_loss(model: SiameseModel, dataset: Dataset, val_idx):
@@ -103,7 +96,7 @@ def train_fold(dataset: Dataset, fold: FoldSpec, config: TrainConfig,
                encoder_config: EncoderConfig | None = None,
                kind: str = "siamese") -> FoldResult:
     """Train one cross-validation fold and return its best-epoch state."""
-    if kind not in ("siamese", "naive"):
+    if kind not in MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
     h, w = dataset.image_size
     if encoder_config is None:
@@ -121,10 +114,7 @@ def train_fold(dataset: Dataset, fold: FoldSpec, config: TrainConfig,
     sampler = balanced_sampler(train_labels, np.random.default_rng(sampler_ss))
     augment_rng = np.random.default_rng(augment_ss)
 
-    if kind == "siamese":
-        model = SiameseModel.init(encoder_config, init_rng)
-    else:
-        model = NaiveModel.init(encoder_config, init_rng)
+    model = MODELS[kind].init(encoder_config, init_rng)
     table_size = max(p.pair_id for p in dataset.pairs) + 1
     alpha = AlphaTable.zeros(table_size) if kind == "siamese" else None
 
@@ -159,8 +149,11 @@ def train_fold(dataset: Dataset, fold: FoldSpec, config: TrainConfig,
         # the steps' buffers live for this epoch's steps, not through
         # validation, whose forward passes keep no backward cache
         ws = Workspace()
-        for step, batch_idx in enumerate(_chunks(epoch_pairs, config.batch_size)):
-            x1, x2 = _augmented_batch(dataset, batch_idx, aug, augment_rng)
+        for step, start in enumerate(range(0, n_train, config.batch_size)):
+            batch_idx = epoch_pairs[start:start + config.batch_size]
+            x1, x2 = dataset.pair_batch(batch_idx)
+            if aug is not None:
+                x1, x2 = augment_pair(x1, x2, aug, augment_rng)
             batch_labels = dataset.labels_of(batch_idx)
             if kind == "siamese":
                 pair_ids = np.array([dataset.pairs[i].pair_id for i in batch_idx])
@@ -215,38 +208,64 @@ def train_fold(dataset: Dataset, fold: FoldSpec, config: TrainConfig,
     if alpha is not None:
         alpha.values[...] = best_alpha
 
-    return FoldResult(fold=fold.fold, model=model, alpha_table=alpha,
-                      history=history, best_epoch=best_epoch,
-                      best_val_loss=best_val, config=config)
+    return FoldResult(model=model, alpha_table=alpha, history=history,
+                      best_epoch=best_epoch, best_val_loss=best_val)
 
 
-def mean_std(values) -> tuple[float, float]:
-    """Arithmetic mean and population standard deviation."""
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+def run_folds(dataset: Dataset, plan: SplitPlan, config: TrainConfig, out,
+              encoder_config: EncoderConfig | None = None,
+              kind: str = "siamese", jobs: int = 1) -> list:
+    """Train fold i of `plan` under fold_configs(config)[i] into out/fold<i>/
+    (checkpoint.npz, history.csv); returns the best validation losses in
+    fold order. jobs > 1 trains the folds in min(jobs, folds) spawned
+    processes that split the usable CPUs' BLAS threads between them; the
+    outputs are byte-identical to jobs=1, which trains on `dataset` here."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(plan.fold_spec(i), fold_config, encoder_config, kind,
+              Path(out) / f"fold{i}")
+             for i, fold_config in enumerate(fold_configs(config, plan.n_folds))]
+    workers = min(jobs, len(tasks))
+    if workers == 1:
+        return [_train_into(dataset, *task) for task in tasks]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    with _thread_limit(max(1, cpus // workers)), ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(functools.partial(_train_into, dataset), *zip(*tasks)))
 
 
-def cross_validate(dataset: Dataset, config: TrainConfig, n_folds: int = 5,
-                   holdout_frac: float = 0.15,
-                   encoder_config: EncoderConfig | None = None,
-                   kind: str = "siamese", plan=None):
-    """Train every fold of a patient-wise split.
+@contextlib.contextmanager
+def _thread_limit(threads: int):
+    """Each THREAD_VARS entry is `threads` inside the block, unless it holds
+    a lower positive count already. numpy reads them when it loads, so they
+    act on the processes started inside the block."""
+    saved = {name: os.environ.get(name) for name in THREAD_VARS}
+    for name, value in saved.items():
+        if not (value or "").isdigit() or not 0 < int(value) < threads:
+            os.environ[name] = str(threads)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
-    Returns (plan, [FoldResult], summary) where summary holds per-fold best
-    validation losses and their mean +/- population std. Each fold trains
-    under its fold_configs entry.
-    """
-    if plan is None:
-        plan = split_patientwise(dataset, n_folds=n_folds,
-                                 holdout_frac=holdout_frac, seed=config.seed)
-    results = [train_fold(dataset, plan.fold_spec(i), fold_config,
-                          encoder_config=encoder_config, kind=kind)
-               for i, fold_config in enumerate(fold_configs(config, plan.n_folds))]
-    losses = [r.best_val_loss for r in results]
-    mean, std = mean_std(losses)
-    summary = {"val_loss_per_fold": losses, "val_loss_mean": mean,
-               "val_loss_std": std}
-    return plan, results, summary
+
+def _train_into(dataset, fold, config, encoder_config, kind, fold_dir) -> float:
+    """train_fold, then the fold's checkpoint.npz and history.csv."""
+    result = train_fold(dataset, fold, config, encoder_config=encoder_config,
+                        kind=kind)
+    fold_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(fold_dir / "checkpoint.npz", result.model,
+                    alpha_table=result.alpha_table,
+                    meta={"fold": fold.fold, "best_epoch": result.best_epoch,
+                          "best_val_loss": result.best_val_loss,
+                          "train_config": config.to_dict()})
+    write_history_csv(fold_dir / "history.csv", result.history)
+    return result.best_val_loss
 
 
 def fold_configs(config: TrainConfig, n_folds: int) -> list:

@@ -189,6 +189,7 @@ def recovery_run(tmp_path_factory):
     return dataset, plan, result, time.time() - start
 
 
+@pytest.mark.slow
 def test_criterion_5_recovery(recovery_run):
     dataset, plan, result, seconds = recovery_run
 
@@ -249,6 +250,7 @@ def noise_runs(tmp_path_factory):
     return config, dataset, fold, plain, noisy
 
 
+@pytest.mark.slow
 def test_criterion_6_noise_separation(noise_runs):
     _, dataset, fold, _, noisy = noise_runs
     train_idx = dataset.indices_for_patients(fold.train_patients)
@@ -283,6 +285,7 @@ def test_criterion_6_noise_separation(noise_runs):
        f"same-label {same:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_fewshot(noise_runs):
     config, _, _, plain, noisy = noise_runs
     activity = synthgen.gen_activity_set(400, config, seed=99)

@@ -91,6 +91,37 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run("gen", "--config", cfg) == 2
 
 
+def test_config_file_not_an_object_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(["seed"]))
+    assert run("gen", "--config", cfg, "--out", tmp_path / "d") == 2
+    assert "expected a JSON object, got list" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("values", [
+    {"n_patients": "many"}, {"tau": "1.0"}, {"seed": 1.5}, {"seed": True},
+    {"force": 1}, {"n_patients": None}])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run("gen", "--config", cfg, "--out", tmp_path / "d") == 2
+    assert "wrong value types" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_config_value_types_that_fit(tmp_path):
+    import argparse
+    from pairstate.cli import TRAIN_SCHEMA, _resolve
+    cfg = tmp_path / "cfg.json"
+    for widths in ([2, 3], "2,3"):
+        # an int fits a float default; anything fits a None default
+        values = {"holdout": 0, "lr": 1, "alpha_lr": "any", "conv_widths": widths}
+        cfg.write_text(json.dumps(values))
+        resolved = _resolve(argparse.Namespace(config=str(cfg)), TRAIN_SCHEMA)
+        assert {k: resolved[k] for k in values} == values
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -144,8 +175,18 @@ def test_train_parallel_folds_match_sequential(gen_dir, tmp_path):
                    "--no-augment", "--lr", 1e-3, "--jobs", jobs) == 0
         outs[jobs] = out
     for fold in ("fold0", "fold1"):
-        assert (outs[1] / fold / "history.csv").read_bytes() == \
-            (outs[2] / fold / "history.csv").read_bytes()
+        for name in ("history.csv", "checkpoint.npz"):
+            assert (outs[1] / fold / name).read_bytes() == \
+                (outs[2] / fold / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_train_jobs_below_one_usage_error(gen_dir, tmp_path, capsys, jobs):
+    assert run("train", "--data", gen_dir / "manifest.jsonl",
+               "--out", tmp_path / "x", "--folds", 2, "--epochs", 1,
+               "--jobs", jobs) == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not list((tmp_path / "x").glob("fold*"))
 
 
 def test_train_bad_manifest_io_error(tmp_path):
@@ -332,3 +373,24 @@ def test_inspect_unsupported_checkpoint_version_io_error(train_dir, tmp_path, ca
     save_checkpoint(path, model, alpha_table=alpha, meta={"format_version": 2})
     assert run("inspect", path) == 3
     assert "unsupported checkpoint version 2" in capsys.readouterr().err
+
+
+def test_inspect_not_an_npz_io_error(tmp_path, capsys):
+    path = tmp_path / "notes.npz"
+    path.write_text("not a checkpoint\n")
+    assert run("inspect", path) == 3
+    assert "not a readable checkpoint" in capsys.readouterr().err
+
+
+def test_inspect_npz_without_meta_io_error(tmp_path, capsys):
+    path = tmp_path / "nometa.npz"
+    np.savez(path, **{"param/x": np.zeros(3)})
+    assert run("inspect", path) == 3
+    assert "not a readable checkpoint" in capsys.readouterr().err
+
+
+def test_inspect_malformed_meta_io_error(tmp_path, capsys):
+    path = tmp_path / "badmeta.npz"
+    np.savez(path, meta=np.frombuffer(b'{"kind": "siamese",', dtype=np.uint8))
+    assert run("inspect", path) == 3
+    assert "not a readable checkpoint" in capsys.readouterr().err

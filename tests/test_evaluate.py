@@ -97,11 +97,14 @@ def test_scatter_row_count_and_fields(dataset, model):
 
 
 def test_scatter_delta_negates_when_order_flipped(dataset, model):
-    fwd = evaluate.export_delta_scatter(model, dataset)
-    rev = evaluate.export_delta_scatter(model, dataset, flip_order=True)
-    for a, b in zip(fwd, rev):
-        assert a["delta"] == -b["delta"]
-        assert a["prob_other"] == pytest.approx(b["prob_other"], abs=1e-12)
+    cache = {}
+    fwd = evaluate.export_delta_scatter(model, dataset, cache=cache)
+    rows1 = np.array([cache[p.img1] for p in dataset.pairs])
+    rows2 = np.array([cache[p.img2] for p in dataset.pairs])
+    rev = model.pair_head(rows2, rows1)
+    for a, delta, prob_other in zip(fwd, rev["delta"], rev["prob_other"]):
+        assert a["delta"] == -delta
+        assert a["prob_other"] == pytest.approx(prob_other, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

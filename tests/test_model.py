@@ -3,13 +3,11 @@ antisymmetry, gradient correctness of the encoder, checkpoints."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pairstate.errors import DataError
 from pairstate.model import (AlphaTable, NaiveModel, SiameseModel, gamma_of,
-                             load_checkpoint, other_prob, pair_delta,
-                             progression_prob, save_checkpoint)
+                             load_checkpoint, other_prob, progression_prob,
+                             save_checkpoint)
 from pairstate.nn import ConvEncoder, EncoderConfig, Workspace, sigmoid
 
 TINY = EncoderConfig(in_height=16, in_width=16, conv_widths=(2, 3), feature_dim=6)
@@ -22,17 +20,6 @@ def tiny_model(seed=0):
 # ---------------------------------------------------------------------------
 # pair arithmetic
 # ---------------------------------------------------------------------------
-
-def test_pair_delta_cases():
-    assert pair_delta(3.0, 3.0) == 0.0
-    assert pair_delta(1.0, -1.0) == 2.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=st.floats(-50, 50), b=st.floats(-50, 50))
-def test_pair_delta_antisymmetric_exactly(a, b):
-    assert pair_delta(a, b) == -pair_delta(b, a)
-
 
 def test_progression_prob_values():
     assert progression_prob(0.0, 1.0) == 0.5

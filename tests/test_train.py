@@ -1,6 +1,8 @@
 """Optimizer semantics and the training protocol on tiny cohorts."""
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -209,41 +211,86 @@ def test_train_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# cross_validate
+# run_folds
 # ---------------------------------------------------------------------------
 
-def test_cross_validate_disjoint_and_aggregated(tiny_dataset, tmp_path):
-    from pairstate.model import load_checkpoint, save_checkpoint
-    plan, results, summary = train.cross_validate(
-        tiny_dataset, tiny_train_config(epochs=2), n_folds=3,
-        holdout_frac=0.15, encoder_config=TINY_ENC)
-    assert len(results) == 3
-    val_sets = [set(plan.fold_spec(r.fold).val_patients) for r in results]
+def test_run_folds_seeds_and_aggregates(tiny_dataset, tmp_path):
+    from pairstate.cli import main
+    from pairstate.model import load_checkpoint
+    config = tiny_train_config(epochs=2)
+    plan = split_patientwise(tiny_dataset, n_folds=3, holdout_frac=0.15,
+                             seed=config.seed)
+    val_sets = [set(plan.fold_spec(i).val_patients) for i in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
             assert not val_sets[i] & val_sets[j]
-    losses = [r.best_val_loss for r in results]
-    assert summary["val_loss_mean"] == pytest.approx(np.mean(losses))
-    assert summary["val_loss_std"] == pytest.approx(np.std(losses))
-    # checkpoints reload bit-exactly
-    for r in results:
-        path = tmp_path / f"f{r.fold}.npz"
-        save_checkpoint(path, r.model, alpha_table=r.alpha_table)
-        loaded, alpha, _ = load_checkpoint(path)
-        for name, p in r.model.params.items():
-            assert np.array_equal(loaded.params[name], p)
-        assert np.array_equal(alpha.values, r.alpha_table.values)
-    # `pairstate train` gives fold i the seed cross_validate gives it
-    from pairstate.cli import main
+    losses = train.run_folds(tiny_dataset, plan, config, tmp_path / "api",
+                             encoder_config=TINY_ENC)
+    seeds = [c.seed for c in train.fold_configs(config, 3)]
+    assert len(losses) == 3 and len(set(seeds)) == 3
+    for i in range(3):
+        _, _, meta = load_checkpoint(tmp_path / "api" / f"fold{i}" / "checkpoint.npz")
+        assert meta["train_config"]["seed"] == seeds[i]
+        assert meta["best_val_loss"] == losses[i]
+    # `pairstate train` runs the same folds and summarises these losses
     run = tmp_path / "run"
     assert main(["train", "--data", str(tiny_dataset.root / "manifest.jsonl"),
-                 "--out", str(run), "--folds", "3", "--epochs", "1",
-                 "--batch-size", "8", "--conv-widths", "2,3",
+                 "--out", str(run), "--folds", "3", "--epochs", "2",
+                 "--batch-size", "8", "--lr", "1e-3", "--conv-widths", "2,3",
                  "--feature-dim", "6", "--seed", "4", "--no-augment"]) == 0
-    for r in results:
-        _, _, meta = load_checkpoint(run / f"fold{r.fold}" / "checkpoint.npz")
-        assert meta["train_config"]["seed"] == r.config.seed
-    assert len({r.config.seed for r in results}) == 3
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["val_loss_per_fold"] == losses
+    assert summary["val_loss_mean"] == float(np.mean(losses))
+    assert summary["val_loss_std"] == float(np.std(losses))
+    for i in range(3):
+        for name in ("checkpoint.npz", "history.csv"):
+            assert (run / f"fold{i}" / name).read_bytes() == \
+                (tmp_path / "api" / f"fold{i}" / name).read_bytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments and runs
+    the tasks in this process, so no worker starts."""
+    calls = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.calls.append({"max_workers": max_workers,
+                           "start_method": mp_context.get_start_method(),
+                           "threads": {name: os.environ.get(name)
+                                       for name in train.THREAD_VARS}})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_folds_caps_workers_and_splits_threads(tiny_dataset, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr(train, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    for name in train.THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")      # lower than 4 // 2: kept
+    monkeypatch.setenv("MKL_NUM_THREADS", "8")      # higher: replaced
+    _RecordingPool.calls.clear()
+    plan = split_patientwise(tiny_dataset, n_folds=2, holdout_frac=0.15, seed=0)
+    losses = train.run_folds(tiny_dataset, plan, tiny_train_config(epochs=1),
+                             tmp_path / "run", encoder_config=TINY_ENC, jobs=16)
+    assert _RecordingPool.calls == [{
+        "max_workers": 2, "start_method": "spawn",
+        "threads": {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "2"}}]
+    assert len(losses) == 2
+    # the caller's environment comes back unchanged
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert os.environ["MKL_NUM_THREADS"] == "8"
 
 
 def test_naive_kind_trains(tiny_dataset):
