@@ -5,6 +5,12 @@ command-line flags; flags win. Unknown config keys are rejected. Every run
 directory receives the resolved config echo and SHA-256 hashes of its
 declared file inputs, and is never overwritten without --force.
 
+Each command's *_SCHEMA is the one list of its settings, in --help order:
+key -> default, or -> type for a setting with no default. build_parser
+makes one flag per setting from it, and a default that a config dataclass
+holds is read from that dataclass. Every check runs before the run
+directory is written.
+
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numerical
 failure.
 """
@@ -12,6 +18,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -60,7 +67,8 @@ def _prepare_run_dir(out, force: bool, config: dict, input_files) -> Path:
 
 
 def _resolve(args, schema: dict) -> dict:
-    """Merge JSON config file and flags; flags win; unknown keys rejected."""
+    """Merge JSON config file and flags; flags win; unknown keys rejected.
+    A setting with no default resolves to None when neither sets it."""
     file_cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -80,26 +88,30 @@ def _resolve(args, schema: dict) -> dict:
         if wrong:
             raise ConfigError(f"config file {path}: wrong value types: {wrong}")
     resolved = {}
-    for key, default in schema.items():
+    for key, spec in schema.items():
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_cfg:
             resolved[key] = file_cfg[key]
         else:
-            resolved[key] = default
+            resolved[key] = None if isinstance(spec, type) else spec
     return resolved
 
 
-def _fits(value, default) -> bool:
-    """Whether a config file value has its schema default's type. An int
-    fits a float, a list or string fits conv_widths (the one tuple), and
-    anything fits None."""
-    if default is None:
+def _fits(value, spec) -> bool:
+    """Whether a config file value has its setting's type: the declared
+    type, or the default's. null fits a setting with no default, which it
+    leaves unset; an int fits a float; a list or string fits conv_widths
+    (the one tuple); checkpoint (the one list) takes a list of strings; a
+    bool fits only a bool."""
+    if isinstance(spec, type) and value is None:
         return True
-    kind = {tuple: (list, str), float: (int, float)}.get(type(default),
-                                                         type(default))
-    return isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)
+    kind = spec if isinstance(spec, type) else type(spec)
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    kind = {tuple: (list, str), float: (int, float)}.get(kind, kind)
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
 
 
 def _require(cfg: dict, *keys) -> None:
@@ -109,13 +121,43 @@ def _require(cfg: dict, *keys) -> None:
                           f"(pass as flags or in --config)")
 
 
+# gen's keys that name a CohortConfig field differently
+RENAMED = {"visits": "visits_per_patient", "scans": "scans_per_volume",
+           "height": "image_height", "width": "image_width",
+           "blob_area": "blob_area_per_severity"}
+
+
+def _defaults(config, keys: str) -> dict:
+    """Schema entries for the space-separated `keys`, each defaulting to
+    the field of the dataclass instance `config` that it names."""
+    return {k: getattr(config, RENAMED.get(k, k)) for k in keys.split()}
+
+
+def _build(cls, cfg: dict, **fields):
+    """Dataclass `cls` from the settings that name its fields, plus `fields`."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{RENAMED.get(k, k): v for k, v in cfg.items()
+                  if RENAMED.get(k, k) in names}, **fields)
+
+
+def _ints(cfg: dict, key) -> tuple:
+    """A comma-separated setting, or a config file's list, as ints."""
+    value = cfg[key]
+    text = value if isinstance(value, str) else ",".join(map(str, value))
+    try:
+        return tuple(int(x) for x in text.split(",") if x)
+    except ValueError as e:
+        raise ConfigError(f"{key} must be comma-separated integers, "
+                          f"got {value!r}") from e
+
+
 def _encoder_config(cfg, image_size) -> EncoderConfig:
-    widths = cfg["conv_widths"]
-    if isinstance(widths, str):
-        widths = tuple(int(x) for x in widths.split(",") if x)
-    return EncoderConfig(in_height=image_size[0], in_width=image_size[1],
-                         conv_widths=tuple(widths),
-                         feature_dim=cfg["feature_dim"])
+    widths = _ints(cfg, "conv_widths")
+    try:
+        return _build(EncoderConfig, {**cfg, "conv_widths": widths},
+                      in_height=image_size[0], in_width=image_size[1])
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +165,18 @@ def _encoder_config(cfg, image_size) -> EncoderConfig:
 # ---------------------------------------------------------------------------
 
 GEN_SCHEMA = {
-    "out": None, "seed": 0, "n_patients": 40, "visits": 8, "scans": 8,
-    "height": 32, "width": 64, "tau": 1.0, "flip_rate": 0.0,
-    "other_rate": 0.05, "scan_jitter": 0.1, "severity_step": 1.5,
-    "severity_max": 10.0, "blob_area": 14.0, "noise_std": 6.0, "force": False,
+    "out": str,
+    **_defaults(synthgen.CohortConfig(),
+                "seed n_patients visits scans height width tau flip_rate other_rate "
+                "scan_jitter severity_step severity_max blob_area noise_std"),
+    "force": False,
 }
 
 
 def cmd_gen(args) -> int:
     cfg = _resolve(args, GEN_SCHEMA)
     _require(cfg, "out")
-    cohort_config = synthgen.CohortConfig(
-        n_patients=cfg["n_patients"], visits_per_patient=cfg["visits"],
-        scans_per_volume=cfg["scans"], image_height=cfg["height"],
-        image_width=cfg["width"], tau=cfg["tau"], flip_rate=cfg["flip_rate"],
-        other_rate=cfg["other_rate"], scan_jitter=cfg["scan_jitter"],
-        severity_step=cfg["severity_step"], severity_max=cfg["severity_max"],
-        blob_area_per_severity=cfg["blob_area"], noise_std=cfg["noise_std"],
-        seed=cfg["seed"])
+    cohort_config = _build(synthgen.CohortConfig, cfg)
     out = _prepare_run_dir(cfg["out"], cfg["force"], cfg, [])
     cohort = synthgen.gen_cohort(cohort_config)
     manifest = synthgen.write_dataset(cohort, out)
@@ -154,10 +190,13 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 TRAIN_SCHEMA = {
-    "data": None, "out": None, "folds": 5, "holdout": 0.15, "epochs": 60,
-    "lr": 1e-4, "batch_size": 32, "lam": 0.15, "weight_decay": 1e-2,
-    "seed": 0, "noise_estimation": False, "alpha_lr": None, "augment": True,
-    "naive_baseline": False, "conv_widths": (8, 16, 32), "feature_dim": 64,
+    "data": str, "out": str, "folds": 5, "holdout": 0.15,
+    **_defaults(train_mod.TrainConfig(),
+                "epochs lr batch_size lam weight_decay seed noise_estimation"),
+    "alpha_lr": float,
+    **_defaults(train_mod.TrainConfig(), "augment"),
+    "naive_baseline": False,
+    **_defaults(EncoderConfig(), "conv_widths feature_dim"),
     "jobs": 1, "force": False,
 }
 
@@ -165,6 +204,9 @@ TRAIN_SCHEMA = {
 def cmd_train(args) -> int:
     cfg = _resolve(args, TRAIN_SCHEMA)
     _require(cfg, "data", "out")
+    base = _build(train_mod.TrainConfig, cfg)
+    if cfg["jobs"] < 1:
+        raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
     manifest = Path(cfg["data"])
     dataset = load_dataset(manifest)
     kind = "naive" if cfg["naive_baseline"] else "siamese"
@@ -176,12 +218,6 @@ def cmd_train(args) -> int:
                             "conv_widths": list(enc.conv_widths)},
                            [manifest])
     _write_json(out / "split.json", plan.to_dict())
-
-    base = train_mod.TrainConfig(
-        lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        lam=cfg["lam"], weight_decay=cfg["weight_decay"], seed=cfg["seed"],
-        noise_estimation=cfg["noise_estimation"], alpha_lr=cfg["alpha_lr"],
-        augment=cfg["augment"])
     losses = train_mod.run_folds(dataset, plan, base, out, encoder_config=enc,
                                  kind=kind, jobs=cfg["jobs"])
     mean, std = float(np.mean(losses)), float(np.std(losses))
@@ -199,7 +235,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 EVAL_SCHEMA = {
-    "run": None, "data": None, "out": None, "oracle": False, "tau": None,
+    "run": str, "data": str, "out": str, "oracle": False, "tau": float,
     "seed": 0, "permutations": 2000, "force": False,
 }
 
@@ -234,9 +270,6 @@ def cmd_eval(args) -> int:
         if not path.is_file():
             raise ConfigError(f"missing checkpoint: {path}")
 
-    out = _prepare_run_dir(cfg["out"] or run / "eval", cfg["force"], cfg,
-                           [manifest, run / "split.json", *checkpoints])
-
     oracle = None
     if cfg["oracle"]:
         tau = _dataset_tau(dataset.root, cfg["tau"])
@@ -249,7 +282,7 @@ def cmd_eval(args) -> int:
     fold_summaries = []
     gamma_reports = {}
     recovery = {}
-    scatter_scorer = scatter_cache = None
+    scatter = None
 
     for i in range(plan.n_folds):
         model, alpha, meta = load_checkpoint(checkpoints[i])
@@ -296,20 +329,21 @@ def cmd_eval(args) -> int:
                     model, dataset, plan.test_patients, rng=rng,
                     n_permutations=cfg["permutations"], cache=cache)
         if i == 0 and scorer.kind != "naive":
-            scatter_scorer, scatter_cache = scorer, cache
+            scatter = evaluate.export_delta_scatter(scorer, dataset, cache=cache)
 
     for name, agg in (("mean", np.mean), ("std", np.std)):
         metric_rows.append({"fold": name, **{
             k: float(agg([float(r[k]) for r in metric_rows[:plan.n_folds]]))
             for k in metrics.METRIC_KEYS}})
+
+    out = _prepare_run_dir(cfg["out"] or run / "eval", cfg["force"], cfg,
+                           [manifest, run / "split.json", *checkpoints])
     train_mod.write_csv(out / "metrics.csv", ("fold", *metrics.METRIC_KEYS),
                         metric_rows)
-
-    if scatter_scorer is not None:
+    if scatter is not None:
         train_mod.write_csv(out / "delta_scatter.csv",
                             ("pair_id", "delta", "prob_other", "label", "clean_label"),
-                            evaluate.export_delta_scatter(scatter_scorer, dataset,
-                                                          cache=scatter_cache))
+                            scatter)
     if gamma_reports:
         _write_json(out / "gamma_report.json", gamma_reports)
     _write_json(out / "summary.json", {
@@ -324,42 +358,32 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 FEWSHOT_SCHEMA = {
-    "checkpoint": None, "out": None, "k_list": "1,2,4,8,16", "reps": 20,
-    "seed": 0, "n_images": 400, "cutoff": None, "severity_max": 10.0,
-    "blob_area": 14.0, "noise_std": 6.0, "force": False,
+    "checkpoint": list, "out": str, "k_list": "1,2,4,8,16", "reps": 20,
+    **_defaults(synthgen.CohortConfig(), "seed"), "n_images": 400, "cutoff": float,
+    **_defaults(synthgen.CohortConfig(), "severity_max blob_area noise_std"),
+    "force": False,
 }
 
 
 def cmd_fewshot(args) -> int:
     cfg = _resolve(args, FEWSHOT_SCHEMA)
     _require(cfg, "checkpoint", "out")
-    specs = cfg["checkpoint"]
-    if isinstance(specs, str):
-        specs = [specs]
     entries = []
-    for spec in specs:
+    for spec in cfg["checkpoint"]:
         name, _, path = spec.rpartition("=")
-        if not name:
-            name = Path(path).stem
-        entries.append((name, Path(path)))
+        entries.append((name or Path(path).stem, Path(path)))
     for _, path in entries:
         if not path.is_file():
             raise ConfigError(f"missing checkpoint: {path}")
-
-    ks = [int(x) for x in str(cfg["k_list"]).split(",") if x]
-    out = _prepare_run_dir(cfg["out"], cfg["force"],
-                           {**cfg, "checkpoint": [f"{n}={p}" for n, p in entries]},
-                           [p for _, p in entries])
+    ks = _ints(cfg, "k_list")
 
     models = [load_checkpoint(path)[0] for _, path in entries]
     enc = models[0].config
     for (_, path), model in zip(entries, models):
         if model.config.to_dict() != enc.to_dict():
             raise ConfigError(f"checkpoint {path} has a different input size")
-    cohort_cfg = synthgen.CohortConfig(
-        image_height=enc.in_height, image_width=enc.in_width,
-        severity_max=cfg["severity_max"], blob_area_per_severity=cfg["blob_area"],
-        noise_std=cfg["noise_std"], seed=cfg["seed"])
+    cohort_cfg = _build(synthgen.CohortConfig, cfg, image_height=enc.in_height,
+                        image_width=enc.in_width)
     activity = synthgen.gen_activity_set(cfg["n_images"], cohort_cfg,
                                          seed=cfg["seed"], cutoff=cfg["cutoff"])
     imgs = activity.images[:, None].astype(np.float64) / 255.0
@@ -379,6 +403,9 @@ def cmd_fewshot(args) -> int:
         for row in curve:
             rows.append({"model": name, "k": row["k"], "mean": row["mean"],
                          "std": row["std"], "n_reps": cfg["reps"]})
+    out = _prepare_run_dir(cfg["out"], cfg["force"],
+                           {**cfg, "checkpoint": [f"{n}={p}" for n, p in entries]},
+                           [p for _, p in entries])
     train_mod.write_csv(out / "fewshot_curve.csv",
                         ("model", "k", "mean", "std", "n_reps"), rows)
     print(f"few-shot curves for {len(entries)} model(s) -> {out}")
@@ -422,75 +449,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pairwise disease-state learning: synthetic data, "
                     "training, evaluation, few-shot calibration.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate a synthetic pair dataset")
-    _add_common(g)
-    g.add_argument("--out")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--n-patients", dest="n_patients", type=int)
-    g.add_argument("--visits", type=int)
-    g.add_argument("--scans", type=int)
-    g.add_argument("--height", type=int)
-    g.add_argument("--width", type=int)
-    g.add_argument("--tau", type=float)
-    g.add_argument("--flip-rate", dest="flip_rate", type=float)
-    g.add_argument("--other-rate", dest="other_rate", type=float)
-    g.add_argument("--scan-jitter", dest="scan_jitter", type=float)
-    g.add_argument("--severity-step", dest="severity_step", type=float)
-    g.add_argument("--severity-max", dest="severity_max", type=float)
-    g.add_argument("--blob-area", dest="blob_area", type=float)
-    g.add_argument("--noise-std", dest="noise_std", type=float)
-    g.set_defaults(func=cmd_gen)
-
-    t = sub.add_parser("train", help="cross-validated training")
-    _add_common(t)
-    t.add_argument("--data", help="path to manifest.jsonl")
-    t.add_argument("--out")
-    t.add_argument("--folds", type=int)
-    t.add_argument("--holdout", type=float)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--lam", type=float)
-    t.add_argument("--weight-decay", dest="weight_decay", type=float)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--noise-estimation", dest="noise_estimation",
-                   action=argparse.BooleanOptionalAction)
-    t.add_argument("--alpha-lr", dest="alpha_lr", type=float)
-    t.add_argument("--augment", action=argparse.BooleanOptionalAction)
-    t.add_argument("--naive-baseline", dest="naive_baseline",
-                   action=argparse.BooleanOptionalAction)
-    t.add_argument("--conv-widths", dest="conv_widths")
-    t.add_argument("--feature-dim", dest="feature_dim", type=int)
-    t.add_argument("--jobs", type=int)
-    t.set_defaults(func=cmd_train)
-
-    e = sub.add_parser("eval", help="calibrate and score a train run")
-    _add_common(e)
-    e.add_argument("--run", help="train run directory")
-    e.add_argument("--data", help="manifest override")
-    e.add_argument("--out")
-    e.add_argument("--oracle", action=argparse.BooleanOptionalAction,
-                   help="score with the ground-truth severity oracle")
-    e.add_argument("--tau", type=float)
-    e.add_argument("--seed", type=int)
-    e.add_argument("--permutations", type=int)
-    e.set_defaults(func=cmd_eval)
-
-    f = sub.add_parser("fewshot", help="few-shot activity calibration curves")
-    _add_common(f)
-    f.add_argument("--checkpoint", action="append",
-                   help="NAME=path/to/checkpoint.npz (repeatable)")
-    f.add_argument("--out")
-    f.add_argument("--k-list", dest="k_list")
-    f.add_argument("--reps", type=int)
-    f.add_argument("--seed", type=int)
-    f.add_argument("--n-images", dest="n_images", type=int)
-    f.add_argument("--cutoff", type=float)
-    f.add_argument("--severity-max", dest="severity_max", type=float)
-    f.add_argument("--blob-area", dest="blob_area", type=float)
-    f.add_argument("--noise-std", dest="noise_std", type=float)
-    f.set_defaults(func=cmd_fewshot)
+    for name, text, func, schema, helps in (
+            ("gen", "generate a synthetic pair dataset", cmd_gen, GEN_SCHEMA, {}),
+            ("train", "cross-validated training", cmd_train, TRAIN_SCHEMA,
+             {"data": "path to manifest.jsonl"}),
+            ("eval", "calibrate and score a train run", cmd_eval, EVAL_SCHEMA,
+             {"run": "train run directory", "data": "manifest override",
+              "oracle": "score with the ground-truth severity oracle"}),
+            ("fewshot", "few-shot activity calibration curves", cmd_fewshot,
+             FEWSHOT_SCHEMA,
+             {"checkpoint": "NAME=path/to/checkpoint.npz (repeatable)"})):
+        sp = sub.add_parser(name, help=text)
+        _add_common(sp)
+        # one --key-with-dashes flag per setting but force (_add_common's),
+        # typed by its default or declared type: a bool is --x/--no-x, a
+        # list repeats, an int or float is parsed, the rest stay strings
+        for key, spec in schema.items():
+            if key == "force":
+                continue
+            kind = spec if isinstance(spec, type) else type(spec)
+            if kind is bool:
+                kw = {"action": argparse.BooleanOptionalAction}
+            elif kind is list:
+                kw = {"action": "append"}
+            else:
+                kw = {"type": kind} if kind in (int, float) else {}
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=helps.get(key), **kw)
+        sp.set_defaults(func=func)
 
     i = sub.add_parser("inspect", help="print checkpoint metadata")
     i.add_argument("checkpoint")

@@ -219,6 +219,8 @@ def severity_recovery(model, dataset: Dataset, patient_ids, rng=None,
     and the latent severities for the given patients, with a permutation
     p-value when `rng` is given. Images are encoded into `cache` as in
     pair_scores."""
+    if n_permutations < 1:
+        raise ConfigError(f"n_permutations must be >= 1, got {n_permutations}")
     if dataset.latents is None:
         raise ConfigError("severity recovery needs the latents.jsonl sidecar")
     keys = sorted({k for pid in patient_ids
@@ -345,21 +347,28 @@ def optimal_threshold(z, is_active):
                            np.asarray(is_active, dtype=bool), float(np.median(z)))
 
 
-def fewshot_curve(z, is_active, k_list, repetitions: int, rng: np.random.Generator):
-    """Balanced accuracy of few-shot threshold calibration, evaluated on the
-    non-shot remainder; one row {k, mean, std, accs} per k."""
+def _curve(k_list, repetitions: int, accuracy) -> list:
+    """One row {k, mean, std, accs} per k over `repetitions` calls of
+    accuracy(k), in k then repetition order."""
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     rows = []
     for k in k_list:
-        accs = []
-        for _ in range(repetitions):
-            thr, orient, shot_idx = fewshot_threshold(z, is_active, k, rng)
-            rest = np.setdiff1d(np.arange(len(z)), shot_idx)
-            accs.append(balanced_accuracy(
-                _apply_threshold(z[rest], thr, orient), is_active[rest]))
-        accs = np.array(accs)
+        accs = np.array([accuracy(k) for _ in range(repetitions)])
         rows.append({"k": int(k), "mean": float(accs.mean()),
                      "std": float(accs.std()), "accs": accs})
     return rows
+
+
+def fewshot_curve(z, is_active, k_list, repetitions: int, rng: np.random.Generator):
+    """Balanced accuracy of few-shot threshold calibration, evaluated on the
+    non-shot remainder; one row {k, mean, std, accs} per k."""
+    def accuracy(k):
+        thr, orient, shot_idx = fewshot_threshold(z, is_active, k, rng)
+        rest = np.setdiff1d(np.arange(len(z)), shot_idx)
+        return balanced_accuracy(_apply_threshold(z[rest], thr, orient),
+                                 is_active[rest])
+    return _curve(k_list, repetitions, accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +401,10 @@ def fewshot_curve_logistic(features, is_active, k_list, repetitions: int,
     """Few-shot curve for the logistic-on-features comparison baseline."""
     features = np.asarray(features, dtype=np.float64)
     is_active = np.asarray(is_active, dtype=bool)
-    rows = []
-    for k in k_list:
-        accs = []
-        for _ in range(repetitions):
-            shot_idx = _draw_shots(is_active, k, rng)
-            w, b = fit_logistic(features[shot_idx], is_active[shot_idx])
-            rest = np.setdiff1d(np.arange(len(is_active)), shot_idx)
-            pred = features[rest] @ w + b > 0
-            accs.append(balanced_accuracy(pred, is_active[rest]))
-        accs = np.array(accs)
-        rows.append({"k": int(k), "mean": float(accs.mean()),
-                     "std": float(accs.std()), "accs": accs})
-    return rows
+
+    def accuracy(k):
+        shot_idx = _draw_shots(is_active, k, rng)
+        w, b = fit_logistic(features[shot_idx], is_active[shot_idx])
+        rest = np.setdiff1d(np.arange(len(is_active)), shot_idx)
+        return balanced_accuracy(features[rest] @ w + b > 0, is_active[rest])
+    return _curve(k_list, repetitions, accuracy)

@@ -356,12 +356,13 @@ def load_checkpoint(path):
     whose names or shapes disagree with the stored encoder config.
     """
     try:
+        # an .npy file loads as one array, which `with` rejects (TypeError)
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             params = {k[len("param/"):]: data[k] for k in data.files
                       if k.startswith("param/")}
             alpha = AlphaTable(data["alpha"]) if "alpha" in data.files else None
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
+    except (ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile) as e:
         raise DataError(f"{path}: not a readable checkpoint: {e}") from e
     if not isinstance(meta, dict):
         raise DataError(f"{path}: checkpoint meta is not a JSON object")

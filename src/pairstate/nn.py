@@ -240,6 +240,8 @@ class EncoderConfig:
         object.__setattr__(self, "conv_widths", tuple(self.conv_widths))
         if not self.conv_widths:
             raise ValueError("need at least one conv block")
+        if min(self.conv_widths) < 1:
+            raise ValueError(f"conv widths must be >= 1, got {self.conv_widths}")
         div = 2 ** len(self.conv_widths)
         if self.in_height % div or self.in_width % div:
             raise ValueError(

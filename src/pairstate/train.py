@@ -219,9 +219,8 @@ def run_folds(dataset: Dataset, plan: SplitPlan, config: TrainConfig, out,
     (checkpoint.npz, history.csv); returns the best validation losses in
     fold order. jobs > 1 trains the folds in min(jobs, folds) spawned
     processes that split the usable CPUs' BLAS threads between them; the
-    outputs are byte-identical to jobs=1, which trains on `dataset` here."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    outputs are byte-identical to jobs=1, which trains on `dataset` here.
+    jobs must be >= 1; `pairstate train` checks it before writing anything."""
     tasks = [(plan.fold_spec(i), fold_config, encoder_config, kind,
               Path(out) / f"fold{i}")
              for i, fold_config in enumerate(fold_configs(config, plan.n_folds))]

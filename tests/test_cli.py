@@ -99,15 +99,28 @@ def test_config_file_not_an_object_rejected(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def _rejects_config(tmp_path, capsys, command, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run(command, "--config", cfg, "--out", tmp_path / "d") == 2
+    assert "wrong value types" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("values", [
     {"n_patients": "many"}, {"tau": "1.0"}, {"seed": 1.5}, {"seed": True},
     {"force": 1}, {"n_patients": None}])
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, values):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(values))
-    assert run("gen", "--config", cfg, "--out", tmp_path / "d") == 2
-    assert "wrong value types" in capsys.readouterr().err
-    assert not (tmp_path / "d").exists()
+    _rejects_config(tmp_path, capsys, "gen", values)
+
+
+@pytest.mark.parametrize("command, values", [
+    ("train", {"alpha_lr": "x"}), ("eval", {"tau": "1.0"}),
+    ("fewshot", {"cutoff": "5"}), ("fewshot", {"checkpoint": "a=x.npz"}),
+    ("fewshot", {"checkpoint": [1]}), ("train", {"data": 1})])
+def test_config_value_without_default_type_checked(tmp_path, capsys, command,
+                                                   values):
+    _rejects_config(tmp_path, capsys, command, values)
 
 
 def test_config_value_types_that_fit(tmp_path):
@@ -115,11 +128,77 @@ def test_config_value_types_that_fit(tmp_path):
     from pairstate.cli import TRAIN_SCHEMA, _resolve
     cfg = tmp_path / "cfg.json"
     for widths in ([2, 3], "2,3"):
-        # an int fits a float default; anything fits a None default
-        values = {"holdout": 0, "lr": 1, "alpha_lr": "any", "conv_widths": widths}
+        # an int fits a float; null leaves a setting with no default unset
+        values = {"holdout": 0, "lr": 1, "alpha_lr": 2, "data": None,
+                  "conv_widths": widths}
         cfg.write_text(json.dumps(values))
         resolved = _resolve(argparse.Namespace(config=str(cfg)), TRAIN_SCHEMA)
         assert {k: resolved[k] for k in values} == values
+
+
+# (command, flag, token or None, setting, resolved value of that exact type)
+FLAGS = [
+    ("gen", "--out", "d", "out", "d"), ("gen", "--seed", "3", "seed", 3),
+    ("gen", "--n-patients", "4", "n_patients", 4),
+    ("gen", "--visits", "5", "visits", 5), ("gen", "--scans", "6", "scans", 6),
+    ("gen", "--height", "16", "height", 16), ("gen", "--width", "48", "width", 48),
+    ("gen", "--tau", "2", "tau", 2.0), ("gen", "--flip-rate", "0.25", "flip_rate", 0.25),
+    ("gen", "--other-rate", "0.5", "other_rate", 0.5),
+    ("gen", "--scan-jitter", "0.2", "scan_jitter", 0.2),
+    ("gen", "--severity-step", "1.25", "severity_step", 1.25),
+    ("gen", "--severity-max", "9", "severity_max", 9.0),
+    ("gen", "--blob-area", "12.5", "blob_area", 12.5),
+    ("gen", "--noise-std", "3", "noise_std", 3.0),
+    ("gen", "--force", None, "force", True),
+    ("train", "--data", "m.jsonl", "data", "m.jsonl"),
+    ("train", "--out", "r", "out", "r"), ("train", "--folds", "3", "folds", 3),
+    ("train", "--holdout", "0.2", "holdout", 0.2),
+    ("train", "--epochs", "7", "epochs", 7), ("train", "--lr", "0.001", "lr", 0.001),
+    ("train", "--batch-size", "16", "batch_size", 16),
+    ("train", "--lam", "0.3", "lam", 0.3),
+    ("train", "--weight-decay", "0.05", "weight_decay", 0.05),
+    ("train", "--seed", "2", "seed", 2),
+    ("train", "--noise-estimation", None, "noise_estimation", True),
+    ("train", "--no-noise-estimation", None, "noise_estimation", False),
+    ("train", "--alpha-lr", "0.02", "alpha_lr", 0.02),
+    ("train", "--augment", None, "augment", True),
+    ("train", "--no-augment", None, "augment", False),
+    ("train", "--naive-baseline", None, "naive_baseline", True),
+    ("train", "--no-naive-baseline", None, "naive_baseline", False),
+    ("train", "--conv-widths", "4,8", "conv_widths", "4,8"),
+    ("train", "--feature-dim", "12", "feature_dim", 12),
+    ("train", "--jobs", "2", "jobs", 2), ("train", "--force", None, "force", True),
+    ("eval", "--run", "r", "run", "r"), ("eval", "--data", "m", "data", "m"),
+    ("eval", "--out", "e", "out", "e"), ("eval", "--oracle", None, "oracle", True),
+    ("eval", "--no-oracle", None, "oracle", False),
+    ("eval", "--tau", "1.5", "tau", 1.5), ("eval", "--seed", "4", "seed", 4),
+    ("eval", "--permutations", "50", "permutations", 50),
+    ("eval", "--force", None, "force", True),
+    ("fewshot", "--checkpoint", "a=x.npz", "checkpoint", ["a=x.npz"]),
+    ("fewshot", "--out", "f", "out", "f"),
+    ("fewshot", "--k-list", "1,3", "k_list", "1,3"),
+    ("fewshot", "--reps", "5", "reps", 5), ("fewshot", "--seed", "6", "seed", 6),
+    ("fewshot", "--n-images", "80", "n_images", 80),
+    ("fewshot", "--cutoff", "4.5", "cutoff", 4.5),
+    ("fewshot", "--severity-max", "8", "severity_max", 8.0),
+    ("fewshot", "--blob-area", "10", "blob_area", 10.0),
+    ("fewshot", "--noise-std", "2", "noise_std", 2.0),
+    ("fewshot", "--force", None, "force", True),
+]
+
+
+@pytest.mark.parametrize("command, flag, token, key, value", FLAGS)
+def test_each_flag_sets_its_setting(command, flag, token, key, value):
+    from pairstate import cli
+    schema = {"gen": cli.GEN_SCHEMA, "train": cli.TRAIN_SCHEMA,
+              "eval": cli.EVAL_SCHEMA, "fewshot": cli.FEWSHOT_SCHEMA}[command]
+    argv = [command, flag] + ([] if token is None else [token])
+    resolved = cli._resolve(cli.build_parser().parse_args(argv), schema)
+    assert resolved[key] == value
+    assert type(resolved[key]) is type(value)
+    set_by_flag = {k for k, v in resolved.items() if v != schema[k]
+                   and not (v is None and isinstance(schema[k], type))}
+    assert set_by_flag <= {key}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +265,33 @@ def test_train_jobs_below_one_usage_error(gen_dir, tmp_path, capsys, jobs):
                "--out", tmp_path / "x", "--folds", 2, "--epochs", 1,
                "--jobs", jobs) == 2
     assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
-    assert not list((tmp_path / "x").glob("fold*"))
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--lr", 0], "lr must be positive, got 0.0"),
+    ("train", ["--conv-widths", "2,a"], "conv_widths must be comma-separated"),
+    ("train", ["--feature-dim", 0], "feature_dim must be >= 1"),
+    ("train", ["--conv-widths=2,-3"], "conv widths must be >= 1, got (2, -3)"),
+    ("eval", ["--permutations", 0], "n_permutations must be >= 1, got 0"),
+    ("eval", ["--permutations", -5], "n_permutations must be >= 1, got -5"),
+    ("fewshot", ["--k-list", "0"], "k must be >= 1, got 0"),
+    ("fewshot", ["--k-list", "a"], "k_list must be comma-separated integers"),
+    ("fewshot", ["--reps", 0], "repetitions must be >= 1, got 0"),
+    ("fewshot", ["--n-images", 1], "need at least 2 images"),
+])
+def test_bad_setting_usage_error_writes_nothing(gen_dir, train_dir, tmp_path,
+                                                capsys, command, flags, message):
+    required = {
+        "train": ["--data", gen_dir / "manifest.jsonl", "--folds", 2,
+                  "--epochs", 1, "--conv-widths", "2,3", "--feature-dim", 6],
+        "eval": ["--run", train_dir],
+        "fewshot": ["--checkpoint", train_dir / "fold0" / "checkpoint.npz",
+                    "--n-images", 60],
+    }[command]
+    assert run(command, *required, "--out", tmp_path / "x", *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_bad_manifest_io_error(tmp_path):
@@ -385,6 +490,13 @@ def test_inspect_not_an_npz_io_error(tmp_path, capsys):
 def test_inspect_npz_without_meta_io_error(tmp_path, capsys):
     path = tmp_path / "nometa.npz"
     np.savez(path, **{"param/x": np.zeros(3)})
+    assert run("inspect", path) == 3
+    assert "not a readable checkpoint" in capsys.readouterr().err
+
+
+def test_inspect_npy_array_io_error(tmp_path, capsys):
+    path = tmp_path / "array.npy"
+    np.save(path, np.zeros(3))
     assert run("inspect", path) == 3
     assert "not a readable checkpoint" in capsys.readouterr().err
 

@@ -232,6 +232,14 @@ def test_permutation_p_is_one_for_constant_state_logits():
     assert rec["permutation_p"] == 1.0
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_permutations_below_one_rejected(n):
+    ds = chain_dataset([10, 20, 30], [1.0, 2.0, 3.0])
+    with pytest.raises(ConfigError, match=f"n_permutations must be >= 1, got {n}"):
+        evaluate.severity_recovery(PixelModel(), ds, [0],
+                                   rng=np.random.default_rng(0), n_permutations=n)
+
+
 # ---------------------------------------------------------------------------
 # few-shot thresholding
 # ---------------------------------------------------------------------------
@@ -308,6 +316,14 @@ def test_fewshot_curve_k_too_large():
     active = np.array([False, False, True, True])
     with pytest.raises(ConfigError, match="active"):
         fewshot_curve(z, active, [3], 2, np_rng())
+
+
+@pytest.mark.parametrize("curve", [fewshot_curve, fewshot_curve_logistic])
+def test_fewshot_curve_needs_a_repetition(curve):
+    x = np.array([[-1.0], [-0.5], [1.0], [2.0]])
+    active = np.array([False, False, True, True])
+    with pytest.raises(ConfigError, match="repetitions must be >= 1, got 0"):
+        curve(x[:, 0] if curve is fewshot_curve else x, active, [1], 0, np_rng())
 
 
 def test_balanced_accuracy_values():
