@@ -115,7 +115,7 @@ def _fits(value, spec) -> bool:
 
 
 def _require(cfg: dict, *keys) -> None:
-    missing = [k for k in keys if cfg.get(k) is None]
+    missing = [k for k in keys if cfg.get(k) in (None, [])]
     if missing:
         raise ConfigError(f"missing required settings: {missing} "
                           f"(pass as flags or in --config)")

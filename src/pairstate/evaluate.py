@@ -352,6 +352,8 @@ def _curve(k_list, repetitions: int, accuracy) -> list:
     accuracy(k), in k then repetition order."""
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if len(k_list) == 0:
+        raise ConfigError("k_list must name at least one k")
     rows = []
     for k in k_list:
         accs = np.array([accuracy(k) for _ in range(repetitions)])

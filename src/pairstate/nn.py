@@ -15,19 +15,30 @@ input: the forward is their elementwise maximum, and the backward counts
 each window's ties as the sum of four equality masks and writes each
 quadrant's share into one output array.
 
+A conv block pools before its ReLU: conv3x3 -> 2x2 maxpool -> ReLU. As
+ReLU is monotone, relu(max(window)) == max(relu(window)) exactly, and the
+gradients agree bit for bit, sign of zero included: a window with a
+positive maximum sends its gradient to the same tied entries either way,
+and one without sends every entry a zero signed like the incoming
+gradient. The ReLU, its mask and its gradient then cover a quarter of the
+elements.
+
 Every layer function writes its results with `out=` into arrays from one
 helper, `_buffer`. Given a `Workspace` (the trailing `ws=` keyword), the
 helper returns that workspace's array for the layer and role, so a
 training loop that keeps one workspace for an epoch's steps writes every
 step into the same memory instead of faulting fresh pages in. Without a
-workspace it returns a fresh array. `ConvEncoder.forward` keeps the
-backward cache only when it is given a workspace; inference passes keep
-none, and each block's patches, conv output, ReLU mask and pool input are
-freed before the next block allocates its own.
+workspace it returns a fresh array. The forward and padded roles keep one
+array per conv block; the backward roles in SHARED_ROLES share one arena
+across blocks, since backward differentiates one block at a time. `ConvEncoder.forward` keeps the backward cache only
+when it is given a workspace; inference passes keep none, and each
+block's patches, conv output, pool output and ReLU mask are freed before
+the next block allocates its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +60,30 @@ def sigmoid(x):
 # buffers
 # ---------------------------------------------------------------------------
 
+# Backward roles that only the block being differentiated uses, so the blocks
+# share one arena per role. A block's incoming gradient is the "dx" of the
+# block above it, which the block has read in full before it writes its own.
+# Padded roles ("xp", "dout_padded") stay per layer: a zero border holds only
+# for the shape it was allocated with.
+SHARED_ROLES = frozenset({"pool_masks", "pool_ties", "pool_share", "pool_grad",
+                          "relu_grad", "dout_cols", "dx"})
+
+
 class Workspace:
-    """Reusable arrays for training steps, one per (role, layer).
+    """Reusable arrays for training steps.
 
     `array` returns the stored array for a key and replaces it when the
     requested shape or dtype differs, so a run of same-sized batches
     writes into the same memory step after step. Padded buffers are
     allocated zeroed and only their interior is ever written, so their
     border stays zero.
+
+    A conv block's buffers are keyed by (role, layer), except for the
+    roles in SHARED_ROLES. Backward runs one block at a time, so each of
+    those has one flat arena, stored under the role's name, and every
+    block gets a view of the arena's first elements in its own shape
+    (`shared`). The arena grows to the largest block's size and then
+    serves smaller blocks and smaller batches without reallocating.
 
     `generation` counts the forward passes run on the workspace. A
     backward cache records the generation of the forward pass that made
@@ -75,6 +102,14 @@ class Workspace:
             self._arrays[key] = arr
         return arr
 
+    def shared(self, role, shape, dtype=np.float64):
+        """A `shape` view of the start of the role's arena."""
+        size = math.prod(shape)
+        arena = self._arrays.get(role)
+        if arena is None or arena.size < size or arena.dtype != dtype:
+            arena = self._arrays[role] = np.empty(size, dtype)
+        return arena[:size].reshape(shape)
+
     def layer(self, index):
         """The buffers of one conv block, keyed by role."""
         return _LayerBuffers(self, index)
@@ -88,6 +123,8 @@ class _LayerBuffers:
         self.index = index
 
     def array(self, role, shape, dtype=np.float64, zeroed=False):
+        if role in SHARED_ROLES:
+            return self.workspace.shared(role, shape, dtype)
         return self.workspace.array((role, self.index), shape, dtype, zeroed)
 
 
@@ -227,9 +264,10 @@ def maxpool2_backward(dout, cache, *, ws=None):
 class EncoderConfig:
     """Shape of the compact convolutional encoder.
 
-    Each conv block is conv3x3 -> ReLU -> 2x2 maxpool; after the blocks a
-    global average pool and one ReLU-activated linear layer produce the
-    feature vector.
+    Each conv block is conv3x3 -> 2x2 maxpool -> ReLU, the same function
+    as conv3x3 -> ReLU -> 2x2 maxpool with the ReLU on a quarter of the
+    elements; after the blocks a global average pool and one
+    ReLU-activated linear layer produce the feature vector.
     """
     in_height: int = 32
     in_width: int = 64
@@ -317,8 +355,8 @@ class ConvEncoder:
         With a workspace, every block writes into the workspace's arrays
         and the returned cache holds what backward needs; it stays valid
         until the next forward pass on the same workspace. Without one the
-        cache is None, and each block's patches, conv output, ReLU mask and
-        pool input are freed before the next block allocates its own.
+        cache is None, and each block's patches, conv output, pool output
+        and ReLU mask are freed before the next block allocates its own.
         """
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
@@ -330,13 +368,13 @@ class ConvEncoder:
             lw = None if ws is None else ws.layer(i)
             z, cols = conv3x3_forward(h, self.params[f"conv{i}.w"],
                                       self.params[f"conv{i}.b"], ws=lw)
-            a, relu_mask = relu_forward(z, ws=lw)
-            h, pool_cache = maxpool2_forward(a, ws=lw)
+            p, pool_cache = maxpool2_forward(z, ws=lw)
+            h, relu_mask = relu_forward(p, ws=lw)
             if ws is not None:
-                blocks.append((cols, relu_mask, pool_cache))
+                blocks.append((cols, pool_cache, relu_mask))
             # without a workspace nothing else holds these; free them before
             # the next block allocates its own
-            del z, cols, a, relu_mask, pool_cache
+            del z, cols, p, pool_cache, relu_mask
         pooled = h.mean(axis=(1, 2))                      # global average pool
         pre = pooled @ self.params["feat.w"].T + self.params["feat.b"]
         feat, feat_mask = relu_forward(pre)
@@ -365,9 +403,11 @@ class ConvEncoder:
         dh = np.broadcast_to(dpool[:, None, None, :] / (ph * pw), hshape)
         for i in range(len(blocks) - 1, -1, -1):
             lw = ws.layer(i)
-            cols, relu_mask, pool_cache = blocks[i]
-            da = maxpool2_backward(dh, pool_cache, ws=lw)
-            dz = relu_backward(da, relu_mask, ws=lw)
+            cols, pool_cache, relu_mask = blocks[i]
+            # dh may be block i+1's dx, in the shared "dx" arena: relu_backward
+            # reads all of it before conv3x3_backward writes block i's dx there
+            dp = relu_backward(dh, relu_mask, ws=lw)
+            dz = maxpool2_backward(dp, pool_cache, ws=lw)
             dh, dw, db = conv3x3_backward(
                 dz, cols, self.params[f"conv{i}.w"], need_dx=i > 0, ws=lw)
             grads[f"conv{i}.w"] += dw

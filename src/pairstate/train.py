@@ -58,6 +58,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lam < 0:
             raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        if self.weight_decay < 0:
+            raise ConfigError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.alpha_lr is not None and self.alpha_lr <= 0:
             raise ConfigError(f"alpha_lr must be positive, got {self.alpha_lr}")
 

@@ -279,6 +279,8 @@ def test_train_jobs_below_one_usage_error(gen_dir, tmp_path, capsys, jobs):
     ("fewshot", ["--k-list", "a"], "k_list must be comma-separated integers"),
     ("fewshot", ["--reps", 0], "repetitions must be >= 1, got 0"),
     ("fewshot", ["--n-images", 1], "need at least 2 images"),
+    ("train", ["--weight-decay", -1], "weight_decay must be >= 0, got -1.0"),
+    ("fewshot", ["--k-list", ","], "k_list must name at least one k"),
 ])
 def test_bad_setting_usage_error_writes_nothing(gen_dir, train_dir, tmp_path,
                                                 capsys, command, flags, message):
@@ -458,6 +460,14 @@ def test_fewshot_loads_each_checkpoint_once(train_dir, tmp_path, monkeypatch):
 def test_fewshot_missing_checkpoint(tmp_path):
     assert run("fewshot", "--checkpoint", f"x={tmp_path}/no.npz",
                "--out", tmp_path / "fs") == 2
+
+
+def test_fewshot_empty_checkpoint_list_is_missing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checkpoint": []}))
+    assert run("fewshot", "--config", cfg, "--out", tmp_path / "fs") == 2
+    assert "missing required settings: ['checkpoint']" in capsys.readouterr().err
+    assert not (tmp_path / "fs").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 equal bit for bit, ties included. Training steps on reused workspace
 buffers against steps on fresh arrays."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,69 @@ def test_maxpool_backward_splits_ties_evenly():
     assert dx.sum() == 6.0
 
 
+def _record(monkeypatch, names):
+    """Wrap nn functions so every call's arguments and result are copied
+    into calls[name] (workspace buffers are overwritten later)."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _fn=getattr(nn, name), _name=name, **kw):
+            out = _fn(*args, **kw)
+            calls[_name].append(copy.deepcopy((args, out)))
+            return out
+        monkeypatch.setattr(nn, name, wrapper)
+    return calls
+
+
+def test_encoder_block_pools_before_relu(monkeypatch):
+    # each block runs conv3x3 -> maxpool -> ReLU, the ReLU on the pooled
+    # quarter, and equals ReLU -> maxpool built from the window references,
+    # in value and sign bit, forward and backward. Coarse inputs and
+    # weights make exact sums, so windows hold ties. A zero-weight channel
+    # and dead image regions make windows all equal to the bias, above or
+    # below zero, and a negative-weight channel makes negative windows.
+    config = nn.EncoderConfig(in_height=8, in_width=16, conv_widths=(4, 4),
+                              feature_dim=3)
+    gen = np.random.default_rng(8)
+    encoder = nn.ConvEncoder.init(config, gen)
+    for i in range(2):
+        w = encoder.params[f"conv{i}.w"]
+        w[...] = (w * 4).round() / 4
+        w[0] = 0.0
+        w[2] = -abs(w[2])
+        encoder.params[f"conv{i}.b"][...] = [-0.5, 0.25, -0.25, 0.0]
+    x = (gen.random((6, 1, 8, 16)) * 4).round() / 4
+    x[0] = 0.0
+    x[1, :, :4] = 0.0
+    calls = _record(monkeypatch, ["maxpool2_forward", "relu_forward",
+                                  "relu_backward", "maxpool2_backward"])
+    feat, cache = encoder.forward(x, ws=nn.Workspace())
+    grads = {k: np.zeros_like(v) for k, v in encoder.params.items()}
+    encoder.backward(gen.normal(size=feat.shape), cache, grads)
+
+    for i in range(2):
+        (z,), (pooled, _) = calls["maxpool2_forward"][i]
+        (relu_in,), (h, _) = calls["relu_forward"][i]
+        assert np.array_equal(relu_in, pooled)
+        a = np.maximum(z, 0.0)
+        ref = window_maxpool2_forward(a)
+        assert h.shape == ref.shape
+        assert np.array_equal(h, ref)
+        assert np.array_equal(np.signbit(h), np.signbit(ref))
+        # backward runs the blocks last to first, after the feature ReLU
+        (dh, _), _ = calls["relu_backward"][2 - i]
+        _, dz = calls["maxpool2_backward"][1 - i]
+        ref = window_maxpool2_backward(dh, a) * (z > 0)
+        assert np.array_equal(dz, ref)
+        assert np.array_equal(np.signbit(dz), np.signbit(ref))
+
+        windows = z.reshape(6, z.shape[1] // 2, 2, z.shape[2] // 2, 2, 4)
+        top = windows.max(axis=(2, 4))
+        ties = (windows == top[:, :, None, :, None]).sum(axis=(2, 4))
+        assert ((top < 0) & (ties == 1)).any()        # entirely negative
+        assert ((top < 0) & (ties == 4)).any()        # all equal below zero
+        assert ((top > 0) & (ties > 1)).any()         # tied above zero
+
+
 # ---------------------------------------------------------------------------
 # workspace
 # ---------------------------------------------------------------------------
@@ -100,13 +164,18 @@ def _step(model, x1, x2, seed, **kw):
 @pytest.mark.parametrize("kind", ["siamese", "naive"])
 def test_workspace_reuse_matches_fresh_arrays(kind):
     # full batches, the 8-pair tail, then full batches again: every step's
-    # loss parts and gradients equal a step on fresh arrays, bit for bit
+    # loss parts and gradients equal a step on fresh arrays, bit for bit.
+    # The tail writes prefix views of the arenas the full batches sized.
     model = _model(kind)
     ws = nn.Workspace()
     gen = np.random.default_rng(1)
     for seed, n in enumerate([32, 32, 8, 32]):
         x1, x2 = gen.random((2, n, 1, 16, 32))
+        arenas = {role: ws._arrays.get(role) for role in nn.SHARED_ROLES}
         parts, grads = _step(model, x1, x2, seed, ws=ws)
+        if n == 8:
+            for role, arena in arenas.items():
+                assert ws._arrays[role] is arena, role
         ref_parts, ref_grads = _step(model, x1, x2, seed)
         assert parts == ref_parts
         assert grads.keys() == ref_grads.keys()
@@ -152,6 +221,18 @@ def test_workspace_replaces_resized_arrays_and_keeps_borders_zero():
         x = gen.normal(size=(n, 5, 6, 2))
         xp = nn._padded(x, ws, "xp")
         assert np.array_equal(xp, np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))))
+
+
+def test_training_workspace_size_budget():
+    # the backward roles share one arena each across blocks, and the ReLU
+    # runs on pooled maps: about 126 MiB for a 32-pair step at 32x64,
+    # against 177 MiB with per-block buffers and the ReLU before the pool
+    model = _model("siamese", nn.EncoderConfig())
+    x1, x2 = np.random.default_rng(5).random((2, 32, 1, 32, 64))
+    ws = nn.Workspace()
+    _step(model, x1, x2, 0, ws=ws)
+    total = sum(a.nbytes for a in ws._arrays.values())
+    assert total < 135 * 2 ** 20, f"workspace holds {total / 2 ** 20:.1f} MiB"
 
 
 def test_training_step_allocation_budget():
