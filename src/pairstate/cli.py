@@ -96,6 +96,9 @@ def _resolve(args, schema: dict) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = None if isinstance(spec, type) else spec
+    # every command that takes a seed feeds it to np.random.SeedSequence
+    if resolved.get("seed") is not None and resolved["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 
@@ -372,6 +375,11 @@ def cmd_fewshot(args) -> int:
     for spec in cfg["checkpoint"]:
         name, _, path = spec.rpartition("=")
         entries.append((name or Path(path).stem, Path(path)))
+    names = [name for name, _ in entries]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"checkpoint names must differ, got {repeated} "
+                          f"more than once (name them as NAME=path)")
     for _, path in entries:
         if not path.is_file():
             raise ConfigError(f"missing checkpoint: {path}")

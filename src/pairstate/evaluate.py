@@ -21,7 +21,11 @@ from .pipeline import Dataset
 # batched scoring
 # ---------------------------------------------------------------------------
 
-ENCODE_BATCH = 256          # images per encoder forward pass
+# Images per encoder forward pass. The conv blocks inside it run in
+# nn.INFERENCE_TILE-image tiles, but the feature layer is one matrix product
+# over all of the pass's rows, and BLAS can round a row differently with a
+# different row count: a new value changes the bits of every eval output.
+ENCODE_BATCH = 256
 PERMUTATION_BLOCK = 256     # permutations scored per matrix product
 
 

@@ -281,10 +281,15 @@ def test_train_jobs_below_one_usage_error(gen_dir, tmp_path, capsys, jobs):
     ("fewshot", ["--n-images", 1], "need at least 2 images"),
     ("train", ["--weight-decay", -1], "weight_decay must be >= 0, got -1.0"),
     ("fewshot", ["--k-list", ","], "k_list must name at least one k"),
+    ("gen", ["--seed", -1], "seed must be >= 0, got -1"),
+    ("train", ["--seed", -1], "seed must be >= 0, got -1"),
+    ("eval", ["--seed", -1], "seed must be >= 0, got -1"),
+    ("fewshot", ["--seed", -1], "seed must be >= 0, got -1"),
 ])
 def test_bad_setting_usage_error_writes_nothing(gen_dir, train_dir, tmp_path,
                                                 capsys, command, flags, message):
     required = {
+        "gen": ["--n-patients", 2],
         "train": ["--data", gen_dir / "manifest.jsonl", "--folds", 2,
                   "--epochs", 1, "--conv-widths", "2,3", "--feature-dim", 6],
         "eval": ["--run", train_dir],
@@ -460,6 +465,21 @@ def test_fewshot_loads_each_checkpoint_once(train_dir, tmp_path, monkeypatch):
 def test_fewshot_missing_checkpoint(tmp_path):
     assert run("fewshot", "--checkpoint", f"x={tmp_path}/no.npz",
                "--out", tmp_path / "fs") == 2
+
+
+@pytest.mark.parametrize("names", [("", ""), ("a", "a")])
+def test_fewshot_repeated_checkpoint_name_usage_error(train_dir, tmp_path, capsys,
+                                                      names):
+    # unnamed fold0/fold1 checkpoints are both named "checkpoint"
+    flags = [x for name, fold in zip(names, ("fold0", "fold1"))
+             for x in ("--checkpoint",
+                       f"{name}={train_dir / fold / 'checkpoint.npz'}".lstrip("="))]
+    assert run("fewshot", *flags, "--out", tmp_path / "fs",
+               "--n-images", 60) == 2
+    repeated = names[0] or "checkpoint"
+    assert f"checkpoint names must differ, got ['{repeated}']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "fs").exists()
 
 
 def test_fewshot_empty_checkpoint_list_is_missing(tmp_path, capsys):
