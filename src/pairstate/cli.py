@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, labels, metrics, synthgen, train as train_mod
+from .atomic import atomic_write
 from .errors import ConfigError, DataError, TrainingDiverged
 from .model import load_checkpoint
 from .nn import EncoderConfig
@@ -40,9 +41,22 @@ EXIT_NUMERIC = 4
 
 
 def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _read_json_object(path) -> dict:
+    """A data file that must hold one JSON object; DataError naming the
+    file if it does not."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DataError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object, "
+                        f"got {type(obj).__name__}")
+    return obj
 
 
 def _sha256(path) -> str:
@@ -61,8 +75,8 @@ def _prepare_run_dir(out, force: bool, config: dict, input_files) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", config)
     lines = [f"{_sha256(p)}  {Path(p).name}" for p in input_files]
-    (out / "inputs.sha256").write_text("".join(line + "\n" for line in lines),
-                                       encoding="utf-8")
+    with atomic_write(out / "inputs.sha256", encoding="utf-8") as f:
+        f.write("".join(line + "\n" for line in lines))
     return out
 
 
@@ -246,7 +260,7 @@ EVAL_SCHEMA = {
 def _dataset_tau(dataset_root, fallback) -> float:
     cfg_path = Path(dataset_root) / "config.json"
     if cfg_path.is_file():
-        echo = json.loads(cfg_path.read_text(encoding="utf-8"))
+        echo = _read_json_object(cfg_path)
         if "tau" in echo:
             return float(echo["tau"])
     if fallback is None:
@@ -261,11 +275,17 @@ def cmd_eval(args) -> int:
     run_cfg_path = run / "config.json"
     if not run_cfg_path.is_file():
         raise ConfigError(f"not a train run directory (no config.json): {run}")
-    run_cfg = json.loads(run_cfg_path.read_text(encoding="utf-8"))
-    manifest = Path(cfg["data"] or run_cfg["data"])
+    data = cfg["data"] or _read_json_object(run_cfg_path).get("data")
+    if not isinstance(data, str):
+        raise DataError(f"{run_cfg_path}: no manifest path under \"data\" "
+                        f"(pass --data)")
+    manifest = Path(data)
     dataset = load_dataset(manifest)
-    plan = SplitPlan.from_dict(
-        json.loads((run / "split.json").read_text(encoding="utf-8")))
+    split_path = run / "split.json"
+    try:
+        plan = SplitPlan.from_dict(_read_json_object(split_path))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{split_path}: not a split plan: {e!r}") from e
 
     checkpoints = [run / f"fold{i}" / "checkpoint.npz"
                    for i in range(plan.n_folds)]

@@ -21,8 +21,8 @@ from .pipeline import Dataset
 # batched scoring
 # ---------------------------------------------------------------------------
 
-# Images per encoder forward pass. The conv blocks inside it run in
-# nn.INFERENCE_TILE-image tiles, but the feature layer is one matrix product
+# Images per encoder forward pass. The conv blocks inside it run in tiles
+# (nn._tile_images), but the feature layer is one matrix product
 # over all of the pass's rows, and BLAS can round a row differently with a
 # different row count: a new value changes the bits of every eval output.
 ENCODE_BATCH = 256

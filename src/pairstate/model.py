@@ -15,6 +15,7 @@ import zipfile
 import numpy as np
 
 from . import objective
+from .atomic import atomic_write
 from .errors import DataError
 from .nn import ConvEncoder, EncoderConfig, Workspace, sigmoid
 
@@ -345,7 +346,10 @@ def save_checkpoint(path, model, alpha_table: AlphaTable | None = None,
         arrays["alpha"] = alpha_table.values
     arrays["meta"] = np.frombuffer(
         json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+    # np.savez given a path appends ".npz" to a name that lacks it, so it
+    # gets the open temp file instead
+    with atomic_write(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 def load_checkpoint(path):

@@ -35,17 +35,25 @@ across blocks, since backward differentiates one block at a time.
 `ConvEncoder.forward` runs the conv blocks through one routine,
 `_conv_blocks`, with and without a workspace. A training pass gives it
 the whole batch and keeps the backward cache. An inference pass (no
-workspace) keeps none: it runs the blocks over INFERENCE_TILE images at a
-time in one workspace reused by every tile, and collects each tile's
+workspace) keeps none: it runs the blocks one tile of images at a time in
+one workspace reused by every tile, and collects each tile's
 global-average-pooled rows. The feature layer runs once over the whole
-batch either way, because a row of a BLAS matrix product can round
-differently with a different number of rows; the conv blocks compute each
-image's rows from that image alone, so tiling them keeps every bit.
+batch either way. The backward pass tiles the input gradient of each
+convolution the same way, and keeps the weight and bias gradients whole:
+they sum rows of every image, and a sum split into tiles rounds
+differently.
+
+A tile keeps every bit because each image's rows of a conv output or
+input gradient come from that image alone, and because the tile size
+(`_tile_images`) keeps each tile's matrix products in the BLAS kernel
+that computes the whole batch's, which rounds a row the same whatever the
+row count; see BLAS_SMALL_PRODUCT.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +84,44 @@ SHARED_ROLES = frozenset({"pool_masks", "pool_ties", "pool_share", "pool_grad",
                           "relu_grad", "dout_cols", "dx"})
 
 
+# Fewest images per tile of an inference forward's conv blocks and of a
+# training backward's input gradient. At 32x64 a 16-image tile's forward
+# block arrays take 16.5 MiB, reused tile after tile, against about 110 MB
+# of fresh arrays for one 256-image pass. Measured on 2 cores: 16 as fast
+# as 8, and faster than 32, 64, 128 or the untiled batch.
+INFERENCE_TILE = 16
+
+# A tile's conv products must round each row as the whole batch's product
+# does. OpenBLAS (0.3.31) runs a product of at most 100**3 multiply-adds
+# through a small-matrix kernel, which rounds rows differently from the
+# blocked kernel of larger products for some column counts (2, 3, 4 and
+# 12 among them), and its threaded matrix-vector product (one column)
+# rounds a row differently with its offset. Above the bound, a row of a
+# product with two or more columns came out the same for every row count
+# and offset tried.
+BLAS_SMALL_PRODUCT = 100 ** 3
+
+
+def _tile_images(products):
+    """Images per tile for conv products given as (rows per image, K, N):
+    INFERENCE_TILE, or enough images that every product exceeds
+    BLAS_SMALL_PRODUCT multiply-adds; no tiling for a one-column product."""
+    tile = INFERENCE_TILE
+    for rows, k, cols in products:
+        if cols == 1:
+            return sys.maxsize
+        tile = max(tile, BLAS_SMALL_PRODUCT // (rows * k * cols) + 1)
+    return tile
+
+
+def _tiles(n, tile):
+    """(start, stop) of each tile of a batch of n images. The last tile
+    ends at n and overlaps the one before it rather than run short, so
+    every tile's products have the same shape; n <= tile is one tile."""
+    starts = [*range(0, n - tile, tile), max(n - tile, 0)]
+    return [(start, min(start + tile, n)) for start in starts]
+
+
 class Workspace:
     """Reusable arrays for training steps and inference tiles.
 
@@ -84,6 +130,9 @@ class Workspace:
     writes into the same memory step after step. Padded buffers are
     allocated zeroed and only their interior is ever written, so their
     border stays zero.
+
+    A 32-pair step at 32x64 holds 93 MiB: the input gradient's padded
+    copy and patch matrix are one tile of images, not the whole batch.
 
     A conv block's buffers are keyed by (role, layer), except for the
     roles in SHARED_ROLES. Backward runs one block at a time, so each of
@@ -199,7 +248,12 @@ def conv3x3_backward(dout, cols, weight, need_dx=True, *, ws=None):
     """Gradients of conv3x3_forward. Returns (dx, dweight, dbias).
 
     dx is None when need_dx is False (saves the largest copy+matmul for
-    the first layer, whose input gradient is never used).
+    the first layer, whose input gradient is never used). The weight and
+    bias gradients sum over every row of the batch, so they stay one
+    whole-batch product and one sum: split into tiles, the sums would
+    round differently. The input gradient has no such sum across images
+    and runs one tile of images at a time (_tile_images), so its padded
+    copy and patch matrix are tile-sized.
     """
     cout, cin = weight.shape[:2]
     n, h, w, _ = dout.shape
@@ -207,16 +261,21 @@ def conv3x3_backward(dout, cols, weight, need_dx=True, *, ws=None):
     dwm = cols.T @ dflat                               # (9*Cin, Cout)
     dweight = dwm.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
     dbias = dflat.sum(axis=0)
-    dx = None
-    if need_dx:
-        # input gradient == same-size conv of dout with the flipped,
-        # in/out-swapped kernel
-        dcols = _im2col(_padded(dout, ws, "dout_padded"), h, w, ws=ws,
-                        role="dout_cols")
-        dx = np.matmul(dcols, _kernel_matrix_transposed(weight),
-                       out=_buffer(ws, "dx", (n * h * w, cin))
-                       ).reshape(n, h, w, cin)
-    return dx, dweight, dbias
+    if not need_dx:
+        return None, dweight, dbias
+    # input gradient == same-size conv of dout with the flipped,
+    # in/out-swapped kernel, one tile of images at a time (_tile_images):
+    # an image's rows of dx come from its own rows of dout alone
+    ws = Workspace().layer(0) if ws is None else ws
+    kernel = _kernel_matrix_transposed(weight)
+    tile = min(n, _tile_images([(h * w, 9 * cout, cin)]))
+    dp = ws.array("dout_padded", (tile, h + 2, w + 2, cout), zeroed=True)
+    dx = ws.array("dx", (n * h * w, cin))
+    for start, stop in _tiles(n, tile):
+        dp[:, 1:-1, 1:-1] = dout[start:stop]
+        dcols = _im2col(dp, h, w, ws=ws, role="dout_cols")
+        np.matmul(dcols, kernel, out=dx[start * h * w:stop * h * w])
+    return dx.reshape(n, h, w, cin), dweight, dbias
 
 
 def relu_forward(x, *, ws=None):
@@ -266,13 +325,6 @@ def maxpool2_backward(dout, cache, *, ws=None):
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------
-
-# Images per conv-block pass of an inference forward. At 32x64 a 16-image
-# tile's block arrays take 16.5 MiB, reused tile after tile, against about
-# 110 MB of fresh arrays for one 256-image pass. Measured on 2 cores:
-# 16 as fast as 8, and faster than 32, 64, 128 or the untiled batch.
-INFERENCE_TILE = 16
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -382,8 +434,7 @@ class ConvEncoder:
         if ws is None:
             tile_ws = Workspace()
             pooled = np.empty((x.shape[0], self.config.conv_widths[-1]))
-            for start in range(0, x.shape[0], INFERENCE_TILE):
-                stop = start + INFERENCE_TILE
+            for start, stop in _tiles(x.shape[0], self._inference_tile()):
                 h, _ = self._conv_blocks(x[start:stop], tile_ws)
                 h.mean(axis=(1, 2), out=pooled[start:stop])
         else:
@@ -395,6 +446,16 @@ class ConvEncoder:
         if ws is None:
             return feat, None
         return feat, (ws, ws.generation, blocks, h.shape, pooled, feat_mask)
+
+    def _inference_tile(self) -> int:
+        """Images per tile of a cache-free forward (see _tile_images)."""
+        cfg = self.config
+        products = []
+        cin, h, w = 1, cfg.in_height, cfg.in_width
+        for cout in cfg.conv_widths:
+            products.append((h * w, 9 * cin, cout))
+            cin, h, w = cout, h // 2, w // 2
+        return _tile_images(products)
 
     def _conv_blocks(self, x, ws):
         """The conv blocks over x (N, 1, H, W), writing into ws's arrays.

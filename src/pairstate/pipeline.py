@@ -71,7 +71,11 @@ class Dataset:
         return img
 
     def pair_batch(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """Image pairs as float64 in [0, 1], shape (N, 1, H, W) each."""
+        """Image pairs as float64 in [0, 1], shape (N, 1, H, W) each.
+
+        Each side is scaled in place (`/= 255.0`, the same IEEE division
+        as `/ 255.0`), so the batch costs its two output arrays only.
+        """
         h, w = self.image_size
         n = len(indices)
         x1 = np.empty((n, 1, h, w))
@@ -80,7 +84,9 @@ class Dataset:
             p = self.pairs[i]
             x1[row, 0] = self.load_image(p.img1)
             x2[row, 0] = self.load_image(p.img2)
-        return x1 / 255.0, x2 / 255.0
+        x1 /= 255.0
+        x2 /= 255.0
+        return x1, x2
 
     def labels_of(self, indices) -> list:
         return [self.pairs[i].label for i in indices]
@@ -218,10 +224,16 @@ class SplitPlan:
 
     @staticmethod
     def from_dict(d):
-        return SplitPlan(seed=d["seed"], n_folds=d["n_folds"],
+        """Inverse of to_dict. Raises KeyError or TypeError for a missing or
+        mistyped entry, ValueError if n_folds does not count the folds."""
+        plan = SplitPlan(seed=d["seed"], n_folds=d["n_folds"],
                          holdout_frac=d["holdout_frac"],
                          test_patients=tuple(d["test_patients"]),
                          folds=tuple(tuple(f) for f in d["folds"]))
+        if type(plan.n_folds) is not int or plan.n_folds != len(plan.folds):
+            raise ValueError(f"n_folds {plan.n_folds!r} does not count the "
+                             f"{len(plan.folds)} folds")
+        return plan
 
 
 def split_patientwise(dataset: Dataset, n_folds: int = 5,

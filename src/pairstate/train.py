@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, labels, objective
+from .atomic import atomic_write
 from .errors import ConfigError, TrainingDiverged
 from .model import MODELS, AlphaTable, NaiveModel, SiameseModel, save_checkpoint
 from .nn import EncoderConfig, Workspace
@@ -285,7 +286,7 @@ def write_csv(path, columns, rows) -> None:
     def fmt(v):
         return repr(v) if isinstance(v, float) else str(v)
 
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path, encoding="utf-8", newline="\n") as f:
         f.write(",".join(columns) + "\n")
         for row in rows:
             f.write(",".join(fmt(row[c]) for c in columns) + "\n")

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import scipy.stats
 
+from pairstate import nn
+
 
 def binary_mcc(cm):
     """Textbook two-class Matthews correlation from a 2x2 confusion matrix,
@@ -96,6 +98,17 @@ def loop_im2col(xp, oh, ow):
             cols[..., k * c:(k + 1) * c] = xp[:, dy:dy + oh, dx:dx + ow, :]
             k += 1
     return cols.reshape(n * oh * ow, 9 * c)
+
+
+def whole_batch_conv_input_grad(dout, weight):
+    """Input gradient of a same-size 3x3 convolution over the whole batch:
+    one patch matrix of the zero-padded dout, then one product with the
+    flipped, in/out-swapped kernel."""
+    n, h, w, _ = dout.shape
+    dp = np.pad(dout, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = nn._im2col(dp, h, w)
+    return np.matmul(cols, nn._kernel_matrix_transposed(weight)).reshape(
+        n, h, w, weight.shape[1])
 
 
 def window_maxpool2_forward(x):

@@ -2,6 +2,7 @@
 codes, run-directory contracts."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -373,6 +374,26 @@ def test_eval_reruns_byte_identical(train_dir, tmp_path):
 
 def test_eval_missing_run_usage_error(tmp_path):
     assert run("eval", "--run", tmp_path / "missing") == 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("split.json", "{not json"),
+    ("split.json", '{"seed": 1}'),
+    ("split.json", '{"seed": 1, "n_folds": 3, "holdout_frac": 0.15, '
+                   '"test_patients": [0], "folds": [[1], [2]]}'),
+    ("split.json", "[]"),
+    ("config.json", "[1, 2]"),
+    ("config.json", '{"seed": 1}'),
+    ("config.json", "{not json"),
+], ids=["split-not-json", "split-no-folds", "split-fold-count", "split-list",
+        "config-list", "config-no-data", "config-not-json"])
+def test_eval_malformed_run_file_io_error(train_dir, tmp_path, capsys, name, text):
+    rn = tmp_path / "run"
+    shutil.copytree(train_dir, rn)
+    (rn / name).write_text(text)
+    assert run("eval", "--run", rn, "--out", tmp_path / "ev") == 3
+    assert f"{rn / name}:" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_eval_naive_run(gen_dir, tmp_path):

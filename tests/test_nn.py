@@ -3,6 +3,7 @@ equal bit for bit, ties included. Training steps on reused workspace
 buffers against steps on fresh arrays."""
 
 import copy
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from pairstate import labels, nn, objective
 from pairstate.model import NaiveModel, SiameseModel
 
-from helpers import loop_im2col, window_maxpool2_backward, window_maxpool2_forward
+from helpers import (loop_im2col, whole_batch_conv_input_grad,
+                     window_maxpool2_backward, window_maxpool2_forward)
 
 
 @pytest.mark.parametrize("c", [1, 8, 16, 32])
@@ -143,6 +145,16 @@ def test_encoder_block_pools_before_relu(monkeypatch):
 
 SMALL = nn.EncoderConfig(in_height=16, in_width=32, conv_widths=(4, 8, 16),
                          feature_dim=8)
+# Under OpenBLAS, 16-image tiles of this config round rows of the 12-column
+# products differently from a whole batch of 64; a width of 1 makes
+# matrix-vector products
+ODD = nn.EncoderConfig(in_height=16, in_width=32, conv_widths=(4, 12, 16),
+                       feature_dim=8)
+WIDTH1 = nn.EncoderConfig(in_height=16, in_width=32, conv_widths=(4, 1, 8),
+                          feature_dim=8)
+TILED_CONFIGS = pytest.mark.parametrize(
+    "config", [SMALL, nn.EncoderConfig(), ODD, WIDTH1],
+    ids=["small", "default", "odd", "width1"])
 
 
 def _model(kind, config=SMALL):
@@ -224,15 +236,32 @@ def test_workspace_replaces_resized_arrays_and_keeps_borders_zero():
 
 
 def test_training_workspace_size_budget():
-    # the backward roles share one arena each across blocks, and the ReLU
-    # runs on pooled maps: about 126 MiB for a 32-pair step at 32x64,
-    # against 177 MiB with per-block buffers and the ReLU before the pool
+    # the backward roles share one arena each across blocks, the ReLU runs
+    # on pooled maps, and the input gradient's padded copy and patch matrix
+    # are INFERENCE_TILE images: about 93 MiB for a 32-pair step at 32x64,
+    # against 126 MiB with a whole-batch input gradient
     model = _model("siamese", nn.EncoderConfig())
     x1, x2 = np.random.default_rng(5).random((2, 32, 1, 32, 64))
     ws = nn.Workspace()
     _step(model, x1, x2, 0, ws=ws)
     total = sum(a.nbytes for a in ws._arrays.values())
-    assert total < 135 * 2 ** 20, f"workspace holds {total / 2 ** 20:.1f} MiB"
+    assert total < 100 * 2 ** 20, f"workspace holds {total / 2 ** 20:.1f} MiB"
+
+
+def test_training_step_without_workspace_allocation_budget():
+    # a step without a workspace makes a one-step workspace and drops it:
+    # about 102 MB at peak for a 32-pair step at 32x64, against 143 MB
+    # with a whole-batch input gradient
+    model = _model("siamese", nn.EncoderConfig())
+    x1, x2 = np.random.default_rng(5).random((2, 32, 1, 32, 64))
+    _step(model, x1, x2, 0)
+    tracemalloc.start()
+    try:
+        _step(model, x1, x2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 115e6, f"step peaked at {peak / 1e6:.1f} MB"
 
 
 def test_training_step_allocation_budget():
@@ -270,16 +299,25 @@ def test_inference_forward_allocation_budget():
         assert peak < 20e6, f"forward of {n} images peaked at {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("config", [SMALL, nn.EncoderConfig()],
-                         ids=["small", "default"])
+def _batch_sizes(tile):
+    # batch sizes around a 16-image tile and around the config's own tile
+    return sorted({1, 15, 16, 17, 35, 64} |
+                  {n for n in (tile - 1, tile, tile + 1, 2 * tile + 3) if n <= 256})
+
+
+@TILED_CONFIGS
 @pytest.mark.parametrize("kind", ["siamese", "naive"])
 def test_tiled_inference_matches_whole_batch_forward(monkeypatch, kind, config):
     # the cache-free forward runs the conv blocks tile by tile and the
     # feature layer once; its features equal the training path's
-    # whole-batch pass bit for bit, sign bit included. Constant image
+    # whole-batch pass bit for bit, sign bit included. Every tile has the
+    # same size, the last one overlapping the one before. Constant image
     # regions make whole pooling windows tie.
-    tile = nn.INFERENCE_TILE
     encoder = _model(kind, config).encoder
+    tile = encoder._inference_tile()
+    # block 0's products: 512 rows x 9 x 4 columns an image at 16x32
+    assert tile == {SMALL: 55, nn.EncoderConfig(): nn.INFERENCE_TILE, ODD: 55,
+                    WIDTH1: sys.maxsize}[config]
     batches = []
     real_conv = nn.conv3x3_forward
 
@@ -290,15 +328,59 @@ def test_tiled_inference_matches_whole_batch_forward(monkeypatch, kind, config):
     monkeypatch.setattr(nn, "conv3x3_forward", conv)
     gen = np.random.default_rng(9)
     shape = (config.in_height, config.in_width)
-    for n in (1, tile - 1, tile, tile + 1, 2 * tile + 3, 256):
+    for n in _batch_sizes(tile) + [256]:
         x = gen.random((n, 1) + shape)
         x[:, :, : shape[0] // 2, : shape[1] // 2] = 0.5
         x[::3] = 0.0
         batches.clear()
         feat, cache = encoder.forward(x)
         assert cache is None
-        tiles = [min(tile, n - start) for start in range(0, n, tile)]
+        tiles = [min(tile, n)] * -(-n // tile)
         assert batches == [t for t in tiles for _ in config.conv_widths]
         ref, _ = encoder.forward(x, ws=nn.Workspace())
         assert np.array_equal(feat, ref), n
         assert np.array_equal(np.signbit(feat), np.signbit(ref)), n
+
+
+@TILED_CONFIGS
+def test_tiled_input_gradient_matches_whole_batch(monkeypatch, config):
+    # conv3x3_backward computes dx one tile of images at a time; it equals
+    # one patch matrix of the whole padded dout times the flipped kernel,
+    # bit for bit and sign bit for sign bit, with a reused workspace and
+    # without one. Constant image regions and all-zero images make pooling
+    # windows tie, so dout holds tied shares.
+    encoder = nn.ConvEncoder.init(config, np.random.default_rng(10))
+    calls = []
+    real_backward = nn.conv3x3_backward
+
+    def backward(dout, cols, weight, need_dx=True, **kw):
+        out = real_backward(dout, cols, weight, need_dx, **kw)
+        if need_dx:
+            calls.append(copy.deepcopy((dout, cols, weight, out[0])))
+        return out
+
+    monkeypatch.setattr(nn, "conv3x3_backward", backward)
+    gen = np.random.default_rng(11)
+    shape = (config.in_height, config.in_width)
+    ws = nn.Workspace()
+    tied = False
+    for n in _batch_sizes(encoder._inference_tile()):
+        x = gen.random((n, 1) + shape)
+        x[:, :, : shape[0] // 2, : shape[1] // 2] = 0.5
+        x[::3] = 0.0
+        calls.clear()
+        feat, cache = encoder.forward(x, ws=ws)
+        grads = {k: np.zeros_like(v) for k, v in encoder.params.items()}
+        encoder.backward(gen.normal(size=feat.shape), cache, grads)
+        assert len(calls) == len(config.conv_widths) - 1
+        for dout, cols, weight, dx in calls:
+            ref = whole_batch_conv_input_grad(dout, weight)
+            fresh, _, _ = real_backward(dout, cols, weight)
+            for got in (dx, fresh):
+                assert np.array_equal(got, ref), n
+                assert np.array_equal(np.signbit(got), np.signbit(ref)), n
+            h, w, c = dout.shape[1:]
+            win = dout.reshape(n, h // 2, 2, w // 2, 2, c)
+            tied |= bool(((win == win[:, :, :1, :, :1]) & (win != 0))
+                         .all(axis=(2, 4)).any())
+    assert tied

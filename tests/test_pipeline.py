@@ -1,6 +1,7 @@
 """Dataset loading, patient-wise splitting, paired augmentation, sampling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ def test_pair_batch_normalized(dataset):
     assert x1.shape == (3, 1, 16, 32)
     assert x1.dtype == np.float64
     assert 0.0 <= x1.min() and x1.max() <= 1.0
+
+
+def test_pair_batch_scales_in_place(dataset):
+    # 256 pairs (indices repeat) equal float64(u8) / 255.0 bit for bit, and
+    # with the images cached the batch peaks at its two output arrays
+    # plus 1 MB, not at four batch-sized arrays
+    idx = np.arange(256) % len(dataset)
+    refs = [np.stack([dataset.load_image(getattr(dataset.pairs[i], key))
+                      for i in idx])[:, None].astype(np.float64) / 255.0
+            for key in ("img1", "img2")]
+    tracemalloc.start()
+    try:
+        x1, x2 = dataset.pair_batch(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for x, ref in zip((x1, x2), refs):
+        assert x.shape == ref.shape
+        assert np.array_equal(x, ref)
+    assert peak < x1.nbytes + x2.nbytes + 1e6, f"peaked at {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
