@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -67,11 +68,22 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _prepare_run_dir(out, force: bool, config: dict, input_files) -> Path:
+def _prepare_run_dir(out, force: bool, config: dict, input_files,
+                     owned=()) -> Path:
+    """Make the output directory and write its config and input digests.
+    A non-empty directory needs force, which first removes whatever the
+    `owned` glob patterns match: outputs of an earlier run that this run
+    might not overwrite, such as a fold it does not train."""
     out = Path(out)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} exists and is not empty "
                           f"(use --force to overwrite)")
+    for pattern in owned:
+        for path in sorted(out.glob(pattern)):
+            if path.is_dir() and not path.is_symlink():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", config)
     lines = [f"{_sha256(p)}  {Path(p).name}" for p in input_files]
@@ -218,6 +230,11 @@ TRAIN_SCHEMA = {
 }
 
 
+# what a train run writes, and `train --force` removes first: a fold that
+# a new run does not retrain, or an eval of old folds, must not outlive it
+TRAIN_OUTPUTS = ("fold*/", "summary.json", "split.json", "eval/")
+
+
 def cmd_train(args) -> int:
     cfg = _resolve(args, TRAIN_SCHEMA)
     _require(cfg, "data", "out")
@@ -233,7 +250,7 @@ def cmd_train(args) -> int:
     out = _prepare_run_dir(cfg["out"], cfg["force"],
                            {**cfg, "model_kind": kind,
                             "conv_widths": list(enc.conv_widths)},
-                           [manifest])
+                           [manifest], owned=TRAIN_OUTPUTS)
     _write_json(out / "split.json", plan.to_dict())
     losses = train_mod.run_folds(dataset, plan, base, out, encoder_config=enc,
                                  kind=kind, jobs=cfg["jobs"])

@@ -342,15 +342,6 @@ def fewshot_threshold(z, is_active, k: int, rng: np.random.Generator):
     return thr, orient, shot_idx
 
 
-def optimal_threshold(z, is_active):
-    """Best achievable threshold on the full data, the few-shot reference.
-
-    Returns (threshold, orientation, balanced_accuracy)."""
-    z = np.asarray(z, dtype=np.float64)
-    return _best_threshold(_candidate_thresholds(z), z,
-                           np.asarray(is_active, dtype=bool), float(np.median(z)))
-
-
 def _curve(k_list, repetitions: int, accuracy) -> list:
     """One row {k, mean, std, accs} per k over `repetitions` calls of
     accuracy(k), in k then repetition order."""

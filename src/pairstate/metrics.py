@@ -32,20 +32,9 @@ class DecisionThresholds:
             raise ConfigError(f"t_other must lie in (0, 1), got {self.t_other}")
 
 
-def classify_pair(prob_progression: float, prob_other: float,
-                  th: DecisionThresholds) -> str:
-    """OTHER wins over the progression classes; then the symmetric band."""
-    if prob_other > th.t_other:
-        return labels.OTHER
-    if prob_progression < 0.5 - th.t:
-        return labels.WORSE
-    if prob_progression > 0.5 + th.t:
-        return labels.BETTER
-    return labels.STABLE
-
-
 def classify_many(prob_progression, prob_other, th: DecisionThresholds) -> np.ndarray:
-    """Vectorized classify_pair; returns class indices in labels.LABELS order."""
+    """Class indices, in labels.LABELS order, of the decision rule: OTHER
+    wins over the progression classes, then the symmetric band."""
     p = np.asarray(prob_progression)
     o = np.asarray(prob_other)
     out = np.full(p.shape, labels.LABEL_TO_INDEX[labels.STABLE], dtype=np.int64)

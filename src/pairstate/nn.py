@@ -10,10 +10,16 @@ accepts the conventional (N, 1, H, W) image batches.
 The kernels move each value as few times as they can without changing a
 bit of the result. im2col is one contiguous copy of a strided 3x3 window
 view of the padded input, and the input gradient of a convolution reuses
-it. 2x2 max pooling works on the four stride-2 quadrant slices of its
-input: the forward is their elementwise maximum, and the backward counts
-each window's ties as the sum of four equality masks and writes each
-quadrant's share into one output array.
+it. A one-channel input (block 0) would copy in 3-element runs that way,
+so when its product is large enough for BLAS's blocked kernel its patch
+matrix is built K-major instead: nine shifted copies of the image, read
+by BLAS through a transpose flag with the same result. The bias is added
+to whole output rows at once and its gradient summed in one einsum pass
+that adds rows in the order sum(axis=0) does. 2x2 max pooling works on
+the four stride-2 quadrant slices of its input: the forward is their
+elementwise maximum, and the backward counts each window's ties as the
+sum of four equality masks and writes each quadrant's share into one
+output array.
 
 A conv block pools before its ReLU: conv3x3 -> 2x2 maxpool -> ReLU. As
 ReLU is monotone, relu(max(window)) == max(relu(window)) exactly, and the
@@ -36,18 +42,19 @@ across blocks, since backward differentiates one block at a time.
 `_conv_blocks`, with and without a workspace. A training pass gives it
 the whole batch and keeps the backward cache. An inference pass (no
 workspace) keeps none: it runs the blocks one tile of images at a time in
-one workspace reused by every tile, and collects each tile's
-global-average-pooled rows. The feature layer runs once over the whole
-batch either way. The backward pass tiles the input gradient of each
-convolution the same way, and keeps the weight and bias gradients whole:
-they sum rows of every image, and a sum split into tiles rounds
-differently.
+one workspace that the encoder keeps for every tile of every such call,
+and collects each tile's global-average-pooled rows. The feature layer
+runs once over the whole batch either way. The backward pass tiles the
+input gradient of each convolution the same way, and keeps the weight and
+bias gradients whole: they sum rows of every image, and a sum split into
+tiles rounds differently.
 
 A tile keeps every bit because each image's rows of a conv output or
 input gradient come from that image alone, and because the tile size
 (`_tile_images`) keeps each tile's matrix products in the BLAS kernel
 that computes the whole batch's, which rounds a row the same whatever the
-row count; see BLAS_SMALL_PRODUCT.
+row count; see BLAS_SMALL_PRODUCT. The same bound decides when block 0
+may take K-major patches.
 """
 
 from __future__ import annotations
@@ -98,7 +105,10 @@ INFERENCE_TILE = 16
 # 12 among them), and its threaded matrix-vector product (one column)
 # rounds a row differently with its offset. Above the bound, a row of a
 # product with two or more columns came out the same for every row count
-# and offset tried.
+# and offset tried, and with either operand stored transposed, which lets
+# block 0 hand BLAS K-major patches (conv3x3_forward). Below it, K-major
+# patches change the weight gradient's bits for 2, 3, 4 and 12 columns.
+# test_nn checks these properties of the BLAS in use.
 BLAS_SMALL_PRODUCT = 100 ** 3
 
 
@@ -203,14 +213,28 @@ def _padded(x, ws, role):
 # layers (channels-last)
 # ---------------------------------------------------------------------------
 
-def _im2col(xp, oh, ow, *, ws=None, role="cols"):
+def _im2col(xp, oh, ow, *, kmajor=False, ws=None, role="cols"):
     """Padded (N, H+2, W+2, C) -> patch matrix (N*OH*OW, 9C).
 
     Patch columns are offset-major: block k = (dy*3 + dx) holds the C
     channels of the pixel shifted by (dy, dx). The matrix is one copy of a
     strided (N, OH, OW, dy, dx, C) window view of the padded input.
+
+    With kmajor (one channel only) the matrix is the transposed view of a
+    K-major (9, N*OH*OW) array whose row k is the input shifted by
+    (dy, dx): nine copies of whole image rows instead of one copy in
+    3-element runs. It holds the same values in the same (rows, 9) shape;
+    only the memory order differs, which BLAS reads through a transpose
+    flag (see BLAS_SMALL_PRODUCT for when that keeps every bit).
     """
     n, _, _, c = xp.shape
+    if kmajor:
+        cols_t = _buffer(ws, role, (9, n * oh * ow))
+        shifted = cols_t.reshape(3, 3, n, oh, ow)
+        for dy in range(3):
+            for dx in range(3):
+                shifted[dy, dx] = xp[:, dy:dy + oh, dx:dx + ow, 0]
+        return cols_t.T
     win = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, :oh, :ow]
     cols = _buffer(ws, role, (n * oh * ow, 9 * c))
     cols.reshape(n, oh, ow, 3, 3, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
@@ -233,14 +257,23 @@ def conv3x3_forward(x, weight, bias, *, ws=None):
     """Same-size 3x3 convolution (stride 1, zero padding 1).
 
     x: (N, H, W, Cin), weight: (Cout, Cin, 3, 3), bias: (Cout,).
-    Returns (out, cache) with out of shape (N, H, W, Cout).
+    Returns (out, cache) with out of shape (N, H, W, Cout); the cache is
+    the patch matrix. A one-channel input whose product runs in BLAS's
+    blocked kernel (two or more output channels, above
+    BLAS_SMALL_PRODUCT multiply-adds) gets K-major patches (_im2col).
+    The bias is added as one W*Cout-long row to each of the N*H rows of
+    the output, the same sums as a broadcast over Cout-long rows in far
+    fewer inner loops.
     """
-    n, h, w, _ = x.shape
+    n, h, w, cin = x.shape
     cout = weight.shape[0]
-    cols = _im2col(_padded(x, ws, "xp"), h, w, ws=ws)
+    kmajor = (cin == 1 and cout >= 2
+              and n * h * w * 9 * cout > BLAS_SMALL_PRODUCT)
+    cols = _im2col(_padded(x, ws, "xp"), h, w, kmajor=kmajor, ws=ws)
     out = np.matmul(cols, _kernel_matrix(weight),
                     out=_buffer(ws, "conv", (n * h * w, cout)))
-    out += bias
+    rows = out.reshape(n * h, w * cout)
+    rows += np.tile(bias, w)
     return out.reshape(n, h, w, cout), cols
 
 
@@ -260,7 +293,9 @@ def conv3x3_backward(dout, cols, weight, need_dx=True, *, ws=None):
     dflat = dout.reshape(-1, cout)
     dwm = cols.T @ dflat                               # (9*Cin, Cout)
     dweight = dwm.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
-    dbias = dflat.sum(axis=0)
+    # einsum adds the rows in order, as sum(axis=0) does for two or more
+    # columns, in one pass; one column sum(axis=0) adds pairwise instead
+    dbias = np.einsum("ij->j", dflat) if cout >= 2 else dflat.sum(axis=0)
     if not need_dx:
         return None, dweight, dbias
     # input gradient == same-size conv of dout with the flipped,
@@ -374,10 +409,17 @@ class EncoderConfig:
 
 @dataclass
 class ConvEncoder:
-    """Conv blocks + global average pooling + linear feature layer."""
+    """Conv blocks + global average pooling + linear feature layer.
+
+    The encoder keeps the workspace its cache-free forward passes run
+    their tiles in, so one encoder's forward is not thread-safe: give each
+    thread its own encoder.
+    """
 
     config: EncoderConfig
     params: dict = field(default_factory=dict)
+    tile_ws: Workspace = field(default_factory=Workspace, init=False,
+                               repr=False, compare=False)
 
     @staticmethod
     def init(config: EncoderConfig, rng: np.random.Generator) -> "ConvEncoder":
@@ -422,20 +464,23 @@ class ConvEncoder:
         workspace's arrays and the returned cache holds what backward
         needs; it stays valid until the next forward pass on the same
         workspace. Without one (inference) the cache is None: the conv
-        blocks run over INFERENCE_TILE images at a time in one workspace
-        made for the call, so the working set stays tile-sized whatever N
-        is, and each tile's global-average-pooled rows go into one (N, C)
-        array. The feature layer runs once over all N rows either way: a
-        BLAS matrix product can round a row differently with a different
-        row count, so only the per-image conv blocks are tiled.
+        blocks run over INFERENCE_TILE images at a time in the encoder's
+        own `tile_ws`, kept from call to call, so the working set stays
+        tile-sized whatever N is and a later call faults no fresh pages
+        in; each tile's global-average-pooled rows go into one (N, C)
+        array. Every tile has the same size (_tiles), so the workspace's
+        arrays keep one shape across tiles and calls. Concurrent calls on
+        one encoder would overwrite each other's tiles: forward is not
+        thread-safe. The feature layer runs once over all N rows either
+        way: a BLAS matrix product can round a row differently with a
+        different row count, so only the per-image conv blocks are tiled.
         """
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
         if ws is None:
-            tile_ws = Workspace()
             pooled = np.empty((x.shape[0], self.config.conv_widths[-1]))
             for start, stop in _tiles(x.shape[0], self._inference_tile()):
-                h, _ = self._conv_blocks(x[start:stop], tile_ws)
+                h, _ = self._conv_blocks(x[start:stop], self.tile_ws)
                 h.mean(axis=(1, 2), out=pooled[start:stop])
         else:
             ws.generation += 1

@@ -135,12 +135,6 @@ def background(height: int, width: int) -> np.ndarray:
     return np.repeat(profile[:, None], width, axis=1)
 
 
-def active_blob_count(severity: float) -> int:
-    """Number of lesion slots with nonzero area at this severity."""
-    s = min(max(severity, 0.0), float(BLOB_SLOTS))
-    return int(math.ceil(s)) if s > 0 else 0
-
-
 def blob_fill(severity: float) -> np.ndarray:
     """Per-slot fill fraction in [0, 1]; slot i fills over (i, i+1]."""
     s = min(max(severity, 0.0), float(BLOB_SLOTS))

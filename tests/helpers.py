@@ -5,7 +5,7 @@ import math
 import numpy as np
 import scipy.stats
 
-from pairstate import nn
+from pairstate import evaluate, labels, nn, synthgen
 
 
 def binary_mcc(cm):
@@ -41,6 +41,34 @@ def brute_force_suite(cm):
         per["specificity"].append(tn / (tn + fp) if tn + fp else 0.0)
         per["f1"].append(2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
     return {name: sum(vals) / k for name, vals in per.items()}
+
+
+def classify_pair(prob_progression, prob_other, th):
+    """Scalar reference for metrics.classify_many: OTHER wins over the
+    progression classes; then the symmetric band. Returns the label."""
+    if prob_other > th.t_other:
+        return labels.OTHER
+    if prob_progression < 0.5 - th.t:
+        return labels.WORSE
+    if prob_progression > 0.5 + th.t:
+        return labels.BETTER
+    return labels.STABLE
+
+
+def optimal_threshold(z, is_active):
+    """Best achievable threshold on the full data, the few-shot reference.
+
+    Returns (threshold, orientation, balanced_accuracy)."""
+    z = np.asarray(z, dtype=np.float64)
+    return evaluate._best_threshold(
+        evaluate._candidate_thresholds(z), z,
+        np.asarray(is_active, dtype=bool), float(np.median(z)))
+
+
+def active_blob_count(severity):
+    """Number of lesion slots with nonzero area at this severity."""
+    s = min(max(severity, 0.0), float(synthgen.BLOB_SLOTS))
+    return int(math.ceil(s)) if s > 0 else 0
 
 
 def central_diff_error(closure, array, index, analytic, steps=(1e-5, 1e-7)):

@@ -287,6 +287,7 @@ def test_criterion_6_noise_separation(noise_runs):
 
 @pytest.mark.slow
 def test_criterion_7_fewshot(noise_runs):
+    from helpers import optimal_threshold
     config, _, _, plain, noisy = noise_runs
     activity = synthgen.gen_activity_set(400, config, seed=99)
     imgs = activity.images[:, None].astype(np.float64) / 255.0
@@ -295,7 +296,7 @@ def test_criterion_7_fewshot(noise_runs):
     optima = {}
     for name, run in (("plain", plain), ("noise", noisy)):
         z, _ = run.model.encode(imgs)
-        _, _, full_acc = evaluate.optimal_threshold(z, activity.active)
+        _, _, full_acc = optimal_threshold(z, activity.active)
         rows = evaluate.fewshot_curve(z, activity.active, [1, 2, 4, 8, 16], 20,
                                       np.random.default_rng(7))
         curves[name] = {row["k"]: row["mean"] for row in rows}

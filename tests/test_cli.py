@@ -260,6 +260,25 @@ def test_train_parallel_folds_match_sequential(gen_dir, tmp_path):
                 (outs[2] / fold / name).read_bytes()
 
 
+def test_train_force_removes_stale_outputs(gen_dir, tmp_path):
+    # --force --folds 2 over an evaluated 3-fold run keeps none of the old
+    # run's folds, split, summary or default eval; other files stay
+    out = tmp_path / "run"
+    common = ("train", "--data", gen_dir / "manifest.jsonl", "--out", out,
+              "--epochs", 1, "--batch-size", 8, "--conv-widths", "2,3",
+              "--feature-dim", 6, "--no-augment")
+    assert run(*common, "--folds", 3, "--seed", 3) == 0
+    assert run("eval", "--run", out, "--oracle", "--permutations", 10) == 0
+    assert (out / "eval" / "metrics.csv").is_file()
+    (out / "notes.txt").write_text("kept")
+    assert run(*common, "--folds", 2, "--seed", 4, "--force") == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.json", "fold0", "fold1", "inputs.sha256", "notes.txt",
+        "split.json", "summary.json"]
+    assert json.loads((out / "split.json").read_text())["n_folds"] == 2
+    assert json.loads((out / "summary.json").read_text())["n_folds"] == 2
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_train_jobs_below_one_usage_error(gen_dir, tmp_path, capsys, jobs):
     assert run("train", "--data", gen_dir / "manifest.jsonl",

@@ -12,13 +12,12 @@ from pairstate import evaluate, labels, synthgen
 from pairstate.errors import ConfigError
 from pairstate.evaluate import (balanced_accuracy, fewshot_curve,
                                 fewshot_curve_logistic, fewshot_threshold,
-                                fit_logistic, gamma_adjacency_report,
-                                optimal_threshold)
+                                fit_logistic, gamma_adjacency_report)
 from pairstate.model import AlphaTable, NaiveModel, SiameseModel
 from pairstate.nn import ConvEncoder, EncoderConfig
 from pairstate.pipeline import Dataset, PairSample, load_dataset
 
-from helpers import scalar_permutation_p
+from helpers import optimal_threshold, scalar_permutation_p
 
 TINY = EncoderConfig(in_height=16, in_width=32, conv_widths=(2, 3), feature_dim=6)
 

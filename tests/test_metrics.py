@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binary_mcc, brute_force_suite
+from helpers import binary_mcc, brute_force_suite, classify_pair
 from pairstate import labels, metrics
 from pairstate.errors import ConfigError
 from pairstate.metrics import (DecisionThresholds, calibrate_boundary,
-                               classify_many, classify_pair, confusion_matrix,
+                               classify_many, confusion_matrix,
                                metric_suite, rk_correlation)
 
 

@@ -40,6 +40,122 @@ def test_im2col_columns_follow_kernel_matrix():
     assert np.allclose(out, ref, rtol=0, atol=1e-12)
 
 
+def _same_bits(got, ref):
+    return (got.shape == ref.shape and np.array_equal(got, ref)
+            and np.array_equal(np.signbit(got), np.signbit(ref)))
+
+
+@pytest.mark.parametrize("cout", range(1, 33))
+def test_kmajor_patches_match_row_major_products(cout):
+    # conv3x3_forward takes K-major patches for a one-channel input only
+    # when its product runs in BLAS's blocked kernel: two or more output
+    # channels and more than BLAS_SMALL_PRODUCT multiply-adds. There the
+    # forward product, the bias-added output and the weight-gradient
+    # product equal those of row-major patches bit for bit, sign bit
+    # included, for tiles at several offsets in a larger batch and row
+    # counts either side of the bound. Signed-zero image regions and
+    # rounded values make zero and tied products.
+    h, w = 8, 16
+    # the most images whose product is at most the bound
+    edge = nn.BLAS_SMALL_PRODUCT // (h * w * 9 * cout)
+    gen = np.random.default_rng(cout)
+    total = edge + 9
+    x = gen.normal(size=(total, h, w, 1)).round(1)
+    x[::4, : h // 2] = -0.0
+    x[1::4] = 0.0
+    weight = gen.normal(size=(cout, 1, 3, 3))
+    weight[0] = abs(weight[0])
+    bias = gen.normal(size=cout)
+    kernel = nn._kernel_matrix(weight)
+    row_major = nn._im2col(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), h, w)
+    whole = row_major @ kernel
+    checked = 0
+    for n in sorted({1, edge, edge + 1, total}):
+        for start in sorted({0, 3, total - n}):
+            if start + n > total:
+                continue
+            out, cols = nn.conv3x3_forward(x[start:start + n], weight, bias)
+            kmajor = cout >= 2 and n * h * w * 9 * cout > nn.BLAS_SMALL_PRODUCT
+            assert cols.flags.c_contiguous != kmajor
+            assert cols.T.flags.c_contiguous == kmajor
+            rows = slice(start * h * w, (start + n) * h * w)
+            assert np.array_equal(cols, row_major[rows])
+            if not kmajor:
+                continue
+            ref = row_major[rows] @ kernel
+            assert _same_bits(cols @ kernel, ref)
+            assert _same_bits(cols @ kernel, whole[rows])
+            assert _same_bits(out.reshape(-1, cout), ref + bias)
+            dflat = gen.normal(size=(n * h * w, cout)).round(1)
+            dflat[::5] = -0.0
+            assert _same_bits(cols.T @ dflat, row_major[rows].T @ dflat)
+            checked += 1
+    assert checked == (0 if cout == 1 else 4)
+
+
+def test_default_encoder_block0_takes_kmajor_patches(monkeypatch):
+    # the default config's block 0 (one channel in, 8 out) takes K-major
+    # patches in an inference tile and in a training batch; the blocks
+    # above take row-major ones
+    layouts = []
+    real_conv = nn.conv3x3_forward
+
+    def conv(*args, **kw):
+        out, cols = real_conv(*args, **kw)
+        layouts.append("K" if cols.T.flags.c_contiguous else "R")
+        return out, cols
+
+    monkeypatch.setattr(nn, "conv3x3_forward", conv)
+    encoder = nn.ConvEncoder.init(nn.EncoderConfig(),
+                                  np.random.default_rng(12))
+    x = np.random.default_rng(13).random((64, 1, 32, 64))
+    encoder.forward(x[:nn.INFERENCE_TILE])
+    encoder.forward(x, ws=nn.Workspace())
+    assert layouts == ["K", "R", "R"] * 2
+
+
+@pytest.mark.parametrize("k", [9, 36, 72, 108, 144, 288])
+def test_blas_rows_independent_of_row_count_offset_and_layout(k):
+    # the assumption the tiles (_tile_images) and the K-major patches rest
+    # on: above BLAS_SMALL_PRODUCT multiply-adds, a conv-shaped product
+    # (K = 9 x input channels) with two or more columns rounds each row the
+    # same for any row count, at any offset, and with either operand
+    # stored transposed. Under a BLAS that breaks it, this test fails
+    # instead of the encoder's bits changing silently.
+    gen = np.random.default_rng(k)
+    for cols in (2, 3, 4, 8, 12, 16, 32, 64):
+        least = nn.BLAS_SMALL_PRODUCT // (k * cols) + 1
+        a = gen.normal(size=(3 * least + 5, k))
+        b = gen.normal(size=(k, cols))
+        whole = a @ b
+        for rows in (least, least + 1, 2 * least + 3):
+            for start in sorted({0, 1, 7, len(a) - rows}):
+                part = a[start:start + rows]
+                ref = whole[start:start + rows]
+                for lhs in (part, np.asfortranarray(part)):
+                    for rhs in (b, np.asfortranarray(b)):
+                        assert np.array_equal(lhs @ rhs, ref), \
+                            (cols, rows, start)
+
+
+@pytest.mark.parametrize("cout", range(1, 33))
+def test_bias_gradient_equals_row_sum(cout):
+    # conv3x3_backward sums the bias gradient with einsum for two or more
+    # columns, which adds rows in order as sum(axis=0) does there, and
+    # with sum for one column, whose sum(axis=0) adds pairwise; both equal
+    # dflat.sum(axis=0) bit for bit for odd row counts, tied values and
+    # an all-negative-zero column
+    gen = np.random.default_rng(cout)
+    weight = gen.normal(size=(cout, 2, 3, 3))
+    for n, h, w in ((1, 1, 1), (1, 1, 7), (1, 1, 17), (1, 15, 17), (3, 31, 43),
+                    (2, 64, 64)):
+        dout = gen.normal(size=(n, h, w, cout)).round(1)
+        dout[..., -1] = -0.0
+        cols = gen.normal(size=(n * h * w, 18))
+        _, _, dbias = nn.conv3x3_backward(dout, cols, weight, need_dx=False)
+        assert _same_bits(dbias, dout.reshape(-1, cout).sum(axis=0)), (n, h, w)
+
+
 def _pool_inputs(c):
     """ReLU-like activations: exact zeros from dead units, whole windows
     equal to one value (a dead-ReLU patch sits at the conv bias), and
@@ -283,20 +399,26 @@ def test_training_step_allocation_budget():
 
 def test_inference_forward_allocation_budget():
     # a cache-free pass runs the conv blocks over INFERENCE_TILE images at
-    # a time in one reused workspace, so its peak does not grow with the
-    # batch: about 17.5 MB at 32x64 for 64 or 256 images, against 27 MB and
-    # 110 MB for whole-batch blocks that free each block's arrays
-    encoder = nn.ConvEncoder.init(nn.EncoderConfig(), np.random.default_rng(6))
+    # a time in the encoder's own workspace. On a fresh encoder it peaks at
+    # about 17.5 MB at 32x64 for 64 or 256 images, against 27 MB and 110 MB
+    # for whole-batch blocks that free each block's arrays; a second pass
+    # reuses that workspace and allocates only its (N, C) and (N, F) rows,
+    # against about 17 MB for a workspace made per call
+    x = np.random.default_rng(7).random((256, 1, 32, 64))
     for n in (64, 256):
-        x = np.random.default_rng(7).random((n, 1, 32, 64))
-        encoder.forward(x)
-        tracemalloc.start()
-        try:
-            encoder.forward(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6, f"forward of {n} images peaked at {peak / 1e6:.1f} MB"
+        encoder = nn.ConvEncoder.init(nn.EncoderConfig(),
+                                      np.random.default_rng(6))
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                encoder.forward(x[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        first, second = (f"{peak / 1e6:.2f} MB" for peak in peaks)
+        assert peaks[0] < 20e6, f"forward of {n} images peaked at {first}"
+        assert peaks[1] < 1e6, f"second forward of {n} images peaked at {second}"
 
 
 def _batch_sizes(tile):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import active_blob_count
 from pairstate import labels, synthgen
 from pairstate.errors import ConfigError
 from pairstate.pgm import read_pgm, write_pgm
@@ -98,13 +99,13 @@ def test_render_zero_severity_is_background_only():
                                 np.random.default_rng(0), config)
     expected = np.rint(synthgen.background(16, 32)).astype(np.uint8)
     assert np.array_equal(img, expected)
-    assert synthgen.active_blob_count(0.0) == 0
+    assert active_blob_count(0.0) == 0
 
 
 def test_blob_count_and_area_monotone():
-    assert synthgen.active_blob_count(0.2) == 1
-    assert synthgen.active_blob_count(3.0) == 3
-    assert synthgen.active_blob_count(9.5) == 10
+    assert active_blob_count(0.2) == 1
+    assert active_blob_count(3.0) == 3
+    assert active_blob_count(9.5) == 10
     fills = [synthgen.blob_fill(s).sum() for s in np.linspace(0, 10, 21)]
     assert all(a < b for a, b in zip(fills[:-1], fills[1:]))
 
